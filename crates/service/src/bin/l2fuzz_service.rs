@@ -5,11 +5,13 @@
 //! ```
 //!
 //! The sweep is the cross product of `--targets` and the seed list, cut
-//! into shards.  With `--checkpoint`, the service rewrites the checkpoint
-//! file atomically after every committed shard; re-running the same command
-//! resumes from the last committed shard and (by default) re-proves the
-//! last shard's digest before continuing.  Kill it at any point — SIGKILL
-//! included — and the next invocation picks up where the commits stopped.
+//! into shards.  With `--checkpoint`, the checkpoint file is a journal: the
+//! first committed shard creates it atomically, and every later one appends
+//! one line.  Re-running the same command resumes from the last committed
+//! shard and (by default) re-proves the last shard's digest before
+//! continuing.  Kill it at any point — SIGKILL included — and the next
+//! invocation picks up where the commits stopped; a line the kill cut short
+//! is dropped and truncated.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

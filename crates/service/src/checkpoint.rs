@@ -1,21 +1,35 @@
-//! Checkpoints: the sweep's durable state, streamed as JSON.
+//! Checkpoints: the sweep's durable state, kept as an append-only journal.
 //!
-//! After every committed shard the service rewrites the checkpoint file —
-//! spec, per-shard records (with digests), and the corpus so far — through
-//! [`serde_json::JsonStreamWriter`], atomically (write to a sibling temp
-//! file, then rename).  A killed sweep reloads the file through
-//! [`serde_json::JsonStreamReader`] and continues from the first
-//! uncommitted shard; because campaigns are deterministic, re-running any
-//! committed shard must reproduce its recorded digest, which is how a
+//! The checkpoint file holds one compact JSON object per line.  The first
+//! line names the sweep (`{"spec":…,"spec_digest":…}`).  Every later line
+//! is one committed shard: its [`ShardRecord`] plus the crash clusters it
+//! opened, each with its exemplar trace.  A shard's joins to existing
+//! clusters are not written again; they replay from the job summaries'
+//! `cluster` keys and trace digests.  The first commit creates the file
+//! atomically (write a sibling temp file, then rename); every later commit
+//! appends its shard's line, so a commit costs what the shard added, not
+//! the whole corpus.
+//!
+//! [`Checkpoint::load`] folds the lines back into the in-memory
+//! [`Checkpoint`] the service held.  A kill mid-append leaves an
+//! unterminated last line: `load` drops it as torn, and a resumed sweep
+//! truncates it before appending again.  A complete line that does not
+//! parse is a [`ServiceError::Json`], and an exemplar trace that no longer
+//! hashes to its job's recorded digest is a
+//! [`ServiceError::ExemplarMismatch`].  A resumed sweep continues from the
+//! first uncommitted shard; because campaigns are deterministic, re-running
+//! any committed shard must reproduce its recorded digest, which is how a
 //! resume is *verified* rather than trusted.
 
+use std::fmt::Display;
+use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
 
-use crate::corpus::{ClusterKey, CorpusStore};
-use crate::digest::Fnv64;
+use crate::corpus::{ClusterKey, CorpusStore, Exemplar};
+use crate::digest::{trace_digest, Fnv64};
 use crate::spec::SweepSpec;
 use crate::ServiceError;
 use btstack::ProfileId;
@@ -174,31 +188,6 @@ impl ShardRecord {
     }
 }
 
-impl StreamSerialize for ShardRecord {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("shard", &self.shard)
-            .field("digest", &self.digest)
-            .field("jobs", &self.jobs)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for ShardRecord {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let shard = r.key("shard")?.value()?;
-        let digest = r.key("digest")?.value()?;
-        let jobs = r.key("jobs")?.value()?;
-        r.end_object()?;
-        Ok(ShardRecord {
-            shard,
-            digest,
-            jobs,
-        })
-    }
-}
-
 /// The sweep's durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -243,109 +232,332 @@ impl Checkpoint {
             .count()
     }
 
-    /// Serializes the checkpoint (pretty, streamed).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty_streamed(self)
+    /// Renders the whole journal: the header line, then one line per
+    /// committed shard.  A service that appended shard by shard has written
+    /// exactly these bytes.
+    pub fn to_journal(&self) -> String {
+        let mut journal = self.header_line();
+        for record in &self.shards {
+            journal.push_str(&self.shard_line(record));
+        }
+        journal
     }
 
-    /// Parses a checkpoint back through the streaming reader.
-    ///
-    /// # Errors
-    /// Returns a `serde_json::Error` on malformed input.
-    pub fn from_json(json: &str) -> Result<Checkpoint, Error> {
-        serde_json::from_str_streamed(json)
+    /// The journal's first line: the sweep the file belongs to.
+    fn header_line(&self) -> String {
+        let mut w = JsonStreamWriter::compact();
+        w.begin_object()
+            .field("spec", &self.spec)
+            .field("spec_digest", &self.spec_digest)
+            .end_object();
+        w.finish() + "\n"
     }
 
-    /// Atomically writes the checkpoint to `path`: the JSON lands in a
-    /// sibling `*.tmp` file first and is renamed into place, so a kill
-    /// mid-write leaves the previous checkpoint intact.
+    /// The journal line of `record`: the record plus the clusters whose
+    /// exemplar is one of its jobs, i.e. the clusters the shard opened.
+    fn shard_line(&self, record: &ShardRecord) -> String {
+        let mut w = JsonStreamWriter::compact();
+        w.begin_object()
+            .field("shard", &record.shard)
+            .field("digest", &record.digest)
+            .field("jobs", &record.jobs)
+            .key("clusters")
+            .begin_array();
+        let opened = self.corpus.clusters().iter().filter(|cluster| {
+            record
+                .jobs
+                .iter()
+                .any(|job| job.index == cluster.exemplar_job)
+        });
+        for cluster in opened {
+            w.begin_object()
+                .field("exemplar_job", &cluster.exemplar_job)
+                .field("vuln_ids", &cluster.vuln_ids)
+                .field("description", &cluster.description)
+                .field("exemplar_trace", &cluster.exemplar_trace)
+                .end_object();
+        }
+        w.end_array().end_object();
+        w.finish() + "\n"
+    }
+
+    /// Atomically writes the whole journal to `path`: it lands in a sibling
+    /// `*.tmp` file first and is renamed into place, so a kill mid-write
+    /// leaves the previous file intact.
     ///
     /// # Errors
     /// Returns [`ServiceError::Io`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), ServiceError> {
         let tmp = path.with_extension("tmp");
-        let io_err = |source| ServiceError::Io {
-            path: path.display().to_string(),
-            source,
-        };
-        std::fs::write(&tmp, self.to_json() + "\n").map_err(io_err)?;
-        std::fs::rename(&tmp, path).map_err(io_err)
+        std::fs::write(&tmp, self.to_journal()).map_err(|e| io_error(path, e))?;
+        std::fs::rename(&tmp, path).map_err(|e| io_error(path, e))
     }
 
-    /// Loads a checkpoint from `path`.
+    /// Makes the last committed shard durable at `path`.  The first commit
+    /// [`save`](Checkpoint::save)s the journal (header plus shard 0's
+    /// line); every later one appends its shard's line.
+    pub(crate) fn persist_last_shard(&self, path: &Path) -> Result<(), ServiceError> {
+        match self.shards.as_slice() {
+            [] => Ok(()),
+            [_] => self.save(path),
+            [.., last] => std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut file| file.write_all(self.shard_line(last).as_bytes()))
+                .map_err(|e| io_error(path, e)),
+        }
+    }
+
+    /// Loads the checkpoint journal at `path`, dropping an unterminated
+    /// last line as a torn append.
     ///
     /// # Errors
-    /// Returns [`ServiceError::Io`] on filesystem failures and
-    /// [`ServiceError::Json`] on malformed content.
+    /// Returns [`ServiceError::Io`] on filesystem failures,
+    /// [`ServiceError::Json`] when a complete line is malformed, and
+    /// [`ServiceError::ExemplarMismatch`] when a stored exemplar trace does
+    /// not hash to its job's recorded trace digest.
     pub fn load(path: &Path) -> Result<Checkpoint, ServiceError> {
-        let json = std::fs::read_to_string(path).map_err(|source| ServiceError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-        Checkpoint::from_json(&json).map_err(|source| ServiceError::Json {
-            path: path.display().to_string(),
-            source,
-        })
+        Checkpoint::fold(path).map(|(checkpoint, _)| checkpoint)
+    }
+
+    /// Loads the journal a sweep over `spec` resumes from.  The journal must
+    /// belong to `spec`, and a torn last line is truncated so the next
+    /// append starts on a fresh line.
+    pub(crate) fn resume(path: &Path, spec: &SweepSpec) -> Result<Checkpoint, ServiceError> {
+        let (checkpoint, torn_at) = Checkpoint::fold(path)?;
+        let expected = spec.digest();
+        if checkpoint.spec_digest != expected || checkpoint.spec != *spec {
+            return Err(ServiceError::SpecMismatch {
+                expected,
+                found: checkpoint.spec_digest,
+            });
+        }
+        if let Some(len) = torn_at {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|file| file.set_len(len))
+                .map_err(|e| io_error(path, e))?;
+        }
+        Ok(checkpoint)
+    }
+
+    /// Folds the journal at `path` line by line.  Also returns the length
+    /// of the complete lines when a torn append follows them.
+    fn fold(path: &Path) -> Result<(Checkpoint, Option<u64>), ServiceError> {
+        let bytes = std::fs::read(path).map_err(|e| io_error(path, e))?;
+        // A line is committed once its newline lands; whatever follows the
+        // last newline is an append a kill cut short.
+        let committed = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |end| end + 1);
+        let mut lines = bytes[..committed].split_inclusive(|&b| b == b'\n').zip(1..);
+        let Some((header, n)) = lines.next() else {
+            return Err(malformed(path, 1, "the header line is missing"));
+        };
+        let Header { spec, spec_digest } = parse_line(path, n, header)?;
+        let mut checkpoint = Checkpoint {
+            spec,
+            spec_digest,
+            shards: Vec::new(),
+            corpus: CorpusStore::new(),
+        };
+        for (line, n) in lines {
+            checkpoint.fold_shard(parse_line(path, n, line)?, path, n)?;
+        }
+        let torn_at = (committed < bytes.len()).then_some(committed as u64);
+        Ok((checkpoint, torn_at))
+    }
+
+    /// Replays shard line `n` in job order: a crashing job joins its
+    /// cluster, or opens one from the line's next stored cluster, whose
+    /// exemplar trace must hash to the trace digest the job recorded.
+    fn fold_shard(&mut self, line: ShardLine, path: &Path, n: usize) -> Result<(), ServiceError> {
+        let ShardLine { record, clusters } = line;
+        let committed = self.shards.len();
+        if record.shard != committed {
+            let msg = format!("shard {} follows {committed} shard(s)", record.shard);
+            return Err(malformed(path, n, msg));
+        }
+        let mut clusters = clusters.into_iter().peekable();
+        for job in &record.jobs {
+            let Some(key) = job.cluster else { continue };
+            if self.corpus.join(key, job.index, job.trace_digest) {
+                continue;
+            }
+            let Some(opened) = clusters.next_if(|c| c.exemplar_job == job.index) else {
+                let msg = format!("job {} opens a cluster the line does not store", job.index);
+                return Err(malformed(path, n, msg));
+            };
+            let (expected, found) = (job.trace_digest, trace_digest(&opened.exemplar.trace));
+            if found != expected {
+                return Err(ServiceError::ExemplarMismatch {
+                    job: job.index,
+                    expected,
+                    found,
+                });
+            }
+            self.corpus.open(key, job.index, expected, opened.exemplar);
+        }
+        if let Some(stray) = clusters.next() {
+            let msg = format!(
+                "job {} stores a cluster it does not open",
+                stray.exemplar_job
+            );
+            return Err(malformed(path, n, msg));
+        }
+        self.shards.push(record);
+        Ok(())
     }
 }
 
-impl StreamSerialize for Checkpoint {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("spec", &self.spec)
-            .field("spec_digest", &self.spec_digest)
-            .field("shards", &self.shards)
-            .field("corpus", &self.corpus)
-            .end_object();
-    }
+/// The journal's first line, as read back.
+struct Header {
+    spec: SweepSpec,
+    spec_digest: u64,
 }
 
-impl StreamDeserialize for Checkpoint {
+impl StreamDeserialize for Header {
     fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
         r.begin_object()?;
         let spec = r.key("spec")?.value()?;
         let spec_digest = r.key("spec_digest")?.value()?;
-        let shards = r.key("shards")?.value()?;
-        let corpus = r.key("corpus")?.value()?;
         r.end_object()?;
-        Ok(Checkpoint {
-            spec,
-            spec_digest,
-            shards,
-            corpus,
+        Ok(Header { spec, spec_digest })
+    }
+}
+
+/// A shard line of the journal, as read back.
+struct ShardLine {
+    record: ShardRecord,
+    /// The clusters the shard opened, in opening order.
+    clusters: Vec<StoredCluster>,
+}
+
+impl StreamDeserialize for ShardLine {
+    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
+        r.begin_object()?;
+        let shard = r.key("shard")?.value()?;
+        let digest = r.key("digest")?.value()?;
+        let jobs = r.key("jobs")?.value()?;
+        let clusters = r.key("clusters")?.value()?;
+        r.end_object()?;
+        Ok(ShardLine {
+            record: ShardRecord {
+                shard,
+                digest,
+                jobs,
+            },
+            clusters,
         })
+    }
+}
+
+/// A cluster as stored on the line of the shard that opened it: the
+/// exemplar job and what it donated.  The members replay from the job
+/// summaries.
+struct StoredCluster {
+    exemplar_job: usize,
+    exemplar: Exemplar,
+}
+
+impl StreamDeserialize for StoredCluster {
+    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
+        r.begin_object()?;
+        let exemplar_job = r.key("exemplar_job")?.value()?;
+        let vuln_ids = r.key("vuln_ids")?.value()?;
+        let description = r.key("description")?.value()?;
+        let trace = r.key("exemplar_trace")?.value()?;
+        r.end_object()?;
+        Ok(StoredCluster {
+            exemplar_job,
+            exemplar: Exemplar {
+                vuln_ids,
+                description,
+                trace,
+            },
+        })
+    }
+}
+
+/// Parses line `n` of the journal at `path`.
+fn parse_line<T: StreamDeserialize>(path: &Path, n: usize, line: &[u8]) -> Result<T, ServiceError> {
+    let text = std::str::from_utf8(line).map_err(|e| malformed(path, n, e))?;
+    serde_json::from_str_streamed(text).map_err(|e| malformed(path, n, e))
+}
+
+/// A [`ServiceError::Json`] for line `n` of the journal at `path`.
+fn malformed(path: &Path, n: usize, msg: impl Display) -> ServiceError {
+    ServiceError::Json {
+        path: path.display().to_string(),
+        source: serde::DeError::new(format!("line {n}: {msg}")).into(),
+    }
+}
+
+fn io_error(path: &Path, source: std::io::Error) -> ServiceError {
+    ServiceError::Io {
+        path: path.display().to_string(),
+        source,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sniffer::Trace;
 
-    fn sample() -> Checkpoint {
-        let spec = SweepSpec::new("unit", [ProfileId::D2], [1, 2]).with_shard_size(2);
-        let mut cp = Checkpoint::new(spec);
-        let job = JobSummary {
-            index: 0,
+    const KEY: ClusterKey = ClusterKey {
+        crash_digest: 9,
+        coverage_signature: 3,
+    };
+
+    fn summary(index: usize, cluster: Option<ClusterKey>) -> JobSummary {
+        JobSummary {
+            index,
             target: ProfileId::D2,
-            seed: 1,
-            vulnerable: true,
-            findings: 1,
+            seed: index as u64 + 1,
+            vulnerable: cluster.is_some(),
+            findings: usize::from(cluster.is_some()),
             packets_sent: 42,
             elapsed_secs: 7,
-            report_digest: 0xDEAD,
-            trace_digest: 0xBEEF,
+            report_digest: 0xDEAD + index as u64,
+            trace_digest: trace_digest(&Trace::new()),
             coverage_signature: 3,
-            cluster: Some(ClusterKey {
-                crash_digest: 9,
-                coverage_signature: 3,
-            }),
+            cluster,
             outcome: JobOutcome::Completed,
             failure: None,
-        };
+        }
+    }
+
+    /// Commits `jobs` as the next shard, opening clusters the way the
+    /// service does.
+    fn commit(cp: &mut Checkpoint, jobs: Vec<JobSummary>) {
+        for job in &jobs {
+            if let Some(key) = job.cluster {
+                if !cp.corpus.join(key, job.index, job.trace_digest) {
+                    let exemplar = Exemplar {
+                        vuln_ids: vec!["V1".to_owned()],
+                        description: "DoS".to_owned(),
+                        trace: Trace::new(),
+                    };
+                    cp.corpus.open(key, job.index, job.trace_digest, exemplar);
+                }
+            }
+        }
+        cp.shards.push(ShardRecord {
+            shard: cp.shards.len(),
+            digest: ShardRecord::digest_jobs(&jobs),
+            jobs,
+        });
+    }
+
+    /// Two shards: a crash that opens a cluster beside a quarantined job,
+    /// then a crash that joins it beside a clean job.
+    fn sample() -> Checkpoint {
+        let spec = SweepSpec::new("unit", [ProfileId::D2], [1, 2, 3, 4]).with_shard_size(2);
+        let mut cp = Checkpoint::new(spec);
         let quarantined = JobSummary {
-            index: 1,
-            target: ProfileId::D2,
-            seed: 2,
             vulnerable: false,
             findings: 0,
             packets_sent: 0,
@@ -353,25 +565,33 @@ mod tests {
             report_digest: 0,
             trace_digest: 0,
             coverage_signature: 0,
-            cluster: None,
             outcome: JobOutcome::TimedOut,
             failure: Some("watchdog expired".to_owned()),
+            ..summary(1, None)
         };
-        cp.shards.push(ShardRecord {
-            shard: 0,
-            digest: ShardRecord::digest_jobs(&[job.clone(), quarantined.clone()]),
-            jobs: vec![job, quarantined],
-        });
+        commit(&mut cp, vec![summary(0, Some(KEY)), quarantined]);
+        commit(&mut cp, vec![summary(2, Some(KEY)), summary(3, None)]);
         cp
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("l2fuzz-service-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}-{}.jsonl", std::process::id()))
     }
 
     #[test]
     fn checkpoint_round_trips_byte_identically() {
         let cp = sample();
-        let json = cp.to_json();
-        let back = Checkpoint::from_json(&json).unwrap();
+        let path = scratch("round-trip");
+        cp.save(&path).unwrap();
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(journal.lines().count(), 3, "header plus one line per shard");
+        let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back, cp);
-        assert_eq!(back.to_json(), json);
+        assert_eq!(back.corpus.clusters()[0].members, vec![0, 2]);
+        assert_eq!(back.to_journal(), journal);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -389,13 +609,41 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_reloadable() {
-        let dir = std::env::temp_dir().join("l2fuzz-service-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("checkpoint.json");
+        let path = scratch("atomic");
         let cp = sample();
         cp.save(&path).unwrap();
         assert!(!path.with_extension("tmp").exists());
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn malformed_and_inconsistent_lines_are_typed_errors() {
+        let journal = sample().to_journal();
+        let lines: Vec<&str> = journal.split_inclusive('\n').collect();
+        let stored = r#"[{"exemplar_job":0,"vuln_ids":["V1"],"description":"DoS","exemplar_trace":{"records":[]}}]"#;
+        assert!(lines[1].contains(stored));
+        let path = scratch("malformed");
+        let cases = [
+            // No header line.
+            String::new(),
+            // A complete line that does not parse.
+            format!("{}{{\"shard\":1,oops}}\n", lines[..2].concat()),
+            // Shard 1 without shard 0.
+            format!("{}{}", lines[0], lines[2]),
+            // Job 0 crashes into a new cluster the line does not store.
+            journal.replace(stored, "[]"),
+            // A stored cluster whose exemplar job opens nothing.
+            journal.replace(
+                r#""clusters":[]"#,
+                &format!(r#""clusters":{}"#, stored.replace(":0,", ":3,")),
+            ),
+        ];
+        for case in cases {
+            std::fs::write(&path, &case).unwrap();
+            let err = Checkpoint::load(&path).expect_err(&case);
+            assert!(matches!(err, ServiceError::Json { .. }), "{case}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -111,6 +111,19 @@ impl StreamDeserialize for CrashCluster {
     }
 }
 
+/// What the first job to reach a cluster donates beyond its summary: the
+/// crash's vulnerability ids and description, and its trace as the
+/// exemplar.  Later members contribute only their summaries.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Exemplar {
+    /// Identifiers of the seeded vulnerabilities that fired.
+    pub(crate) vuln_ids: Vec<String>,
+    /// Human-readable description from the job's evidence.
+    pub(crate) description: String,
+    /// The job's merged packet trace.
+    pub(crate) trace: Trace,
+}
+
 /// The corpus store: clusters in first-seen order.
 ///
 /// Jobs are inserted in commit order (shard by shard, jobs ascending within
@@ -127,44 +140,47 @@ impl CorpusStore {
         CorpusStore::default()
     }
 
-    /// Records a crashing job.  A new key opens a cluster with `trace` as
-    /// its exemplar; a known key only appends the member (and its trace
-    /// digest) and merges the vulnerability identifiers.
-    pub fn insert(
-        &mut self,
-        job: usize,
-        trace_digest: u64,
-        key: ClusterKey,
-        vuln_ids: impl IntoIterator<Item = String>,
-        description: &str,
-        trace: &Trace,
-    ) {
+    /// Adds crashing job `job` to the cluster keyed `key`.  Returns `false`,
+    /// changing nothing, when no such cluster exists yet — the caller then
+    /// [`open`](CorpusStore::open)s one.  A join merges no vulnerability
+    /// ids: equal keys already imply equal vuln-id sets, because the crash
+    /// digest hashes every dump's `vuln_id`.
+    pub(crate) fn join(&mut self, key: ClusterKey, job: usize, trace_digest: u64) -> bool {
         match self.clusters.iter_mut().find(|c| c.key == key) {
             Some(cluster) => {
                 cluster.members.push(job);
                 cluster.member_trace_digests.push(trace_digest);
-                for id in vuln_ids {
-                    if !cluster.vuln_ids.contains(&id) {
-                        cluster.vuln_ids.push(id);
-                        cluster.vuln_ids.sort();
-                    }
-                }
+                true
             }
-            None => {
-                let mut ids: Vec<String> = vuln_ids.into_iter().collect();
-                ids.sort();
-                ids.dedup();
-                self.clusters.push(CrashCluster {
-                    key,
-                    vuln_ids: ids,
-                    description: description.to_owned(),
-                    members: vec![job],
-                    member_trace_digests: vec![trace_digest],
-                    exemplar_job: job,
-                    exemplar_trace: trace.clone(),
-                });
-            }
+            None => false,
         }
+    }
+
+    /// Opens the cluster keyed `key` with crashing job `job` as its first
+    /// member and `exemplar` as what it donates.
+    pub(crate) fn open(
+        &mut self,
+        key: ClusterKey,
+        job: usize,
+        trace_digest: u64,
+        exemplar: Exemplar,
+    ) {
+        let Exemplar {
+            mut vuln_ids,
+            description,
+            trace,
+        } = exemplar;
+        vuln_ids.sort();
+        vuln_ids.dedup();
+        self.clusters.push(CrashCluster {
+            key,
+            vuln_ids,
+            description,
+            members: vec![job],
+            member_trace_digests: vec![trace_digest],
+            exemplar_job: job,
+            exemplar_trace: trace,
+        });
     }
 
     /// The clusters, in first-seen order.
@@ -235,12 +251,29 @@ mod tests {
         }
     }
 
+    /// Joins the cluster keyed `key`, opening it when it is new — the
+    /// service's commit rule.
+    fn insert(store: &mut CorpusStore, job: usize, digest: u64, key: ClusterKey, vuln: &str) {
+        if !store.join(key, job, digest) {
+            let exemplar = Exemplar {
+                vuln_ids: vec![vuln.to_owned()],
+                description: format!("{vuln} crash"),
+                trace: Trace::new(),
+            };
+            store.open(key, job, digest, exemplar);
+        }
+    }
+
     #[test]
     fn same_key_jobs_collapse_into_one_cluster() {
         let mut store = CorpusStore::new();
-        store.insert(0, 0xA0, key(7, 3), ["V1".into()], "DoS", &Trace::new());
-        store.insert(3, 0xA3, key(7, 3), ["V1".into()], "DoS", &Trace::new());
-        store.insert(5, 0xA5, key(9, 3), ["V2".into()], "crash", &Trace::new());
+        insert(&mut store, 0, 0xA0, key(7, 3), "V1");
+        insert(&mut store, 3, 0xA3, key(7, 3), "V1");
+        insert(&mut store, 5, 0xA5, key(9, 3), "V2");
+        assert!(
+            !store.join(key(11, 3), 6, 0xA6),
+            "an unknown key opens nothing"
+        );
         assert_eq!(store.len(), 2);
         assert_eq!(store.member_count(), 3);
         assert_eq!(store.clusters()[0].members, vec![0, 3]);
@@ -254,12 +287,12 @@ mod tests {
     fn novelty_ranking_prefers_wide_coverage_then_rarity() {
         let mut store = CorpusStore::new();
         // Two members, narrow coverage (2 bits).
-        store.insert(0, 1, key(7, 0b011), ["V1".into()], "a", &Trace::new());
-        store.insert(1, 2, key(7, 0b011), ["V1".into()], "a", &Trace::new());
+        insert(&mut store, 0, 1, key(7, 0b011), "V1");
+        insert(&mut store, 1, 2, key(7, 0b011), "V1");
         // One member, wide coverage (3 bits) — most novel.
-        store.insert(2, 3, key(8, 0b10101), ["V2".into()], "b", &Trace::new());
+        insert(&mut store, 2, 3, key(8, 0b10101), "V2");
         // One member, narrow coverage — rarer than the first cluster.
-        store.insert(3, 4, key(9, 0b110), ["V3".into()], "c", &Trace::new());
+        insert(&mut store, 3, 4, key(9, 0b110), "V3");
         let ranked = store.ranked_by_novelty();
         let digests: Vec<u64> = ranked.iter().map(|c| c.key.crash_digest).collect();
         assert_eq!(digests, vec![8, 9, 7]);
@@ -268,14 +301,12 @@ mod tests {
     #[test]
     fn corpus_round_trips_through_the_streaming_pair() {
         let mut store = CorpusStore::new();
-        store.insert(
-            2,
-            0xB2,
-            key(11, 5),
-            ["V3".into(), "V1".into()],
-            "x",
-            &Trace::new(),
-        );
+        let exemplar = Exemplar {
+            vuln_ids: vec!["V3".into(), "V1".into(), "V3".into()],
+            description: "x".into(),
+            trace: Trace::new(),
+        };
+        store.open(key(11, 5), 2, 0xB2, exemplar);
         let json = serde_json::to_string_streamed(&store);
         let back: CorpusStore = serde_json::from_str_streamed(&json).unwrap();
         assert_eq!(back, store);

@@ -72,7 +72,8 @@ pub fn digest_bytes(bytes: &[u8]) -> u64 {
 
 /// Digest of a packet trace: direction, timestamp and wire bytes of every
 /// record, in capture order (the same recipe the replay-determinism tests
-/// pin).
+/// pin).  The wire bytes are hashed in place — the basic header's two
+/// little-endian fields, then the payload — rather than encoded first.
 pub fn trace_digest(trace: &Trace) -> u64 {
     let mut h = Fnv64::new();
     for record in trace.records() {
@@ -81,7 +82,10 @@ pub fn trace_digest(trace: &Trace) -> u64 {
             Direction::Rx => 1,
         });
         h.write_u64(record.timestamp_micros);
-        h.write(&record.frame.to_bytes());
+        let frame = &record.frame;
+        h.write(&frame.declared_payload_len.to_le_bytes());
+        h.write(&frame.cid.value().to_le_bytes());
+        h.write(&frame.payload);
     }
     h.finish()
 }
@@ -152,6 +156,35 @@ mod tests {
         assert_eq!(crash_dumps_digest(&one), crash_dumps_digest(&three));
         let other = vec![CrashDump::bluedroid_tombstone("CVE-OTHER", 100)];
         assert_ne!(crash_dumps_digest(&one), crash_dumps_digest(&other));
+    }
+
+    #[test]
+    fn trace_digest_hashes_the_encoded_wire_form() {
+        use btcore::Cid;
+        use hci::link::PacketRecord;
+        use l2cap::packet::L2capFrame;
+
+        let mut malformed = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x02]);
+        malformed.declared_payload_len = 0x1234;
+        let trace = Trace::from_records(vec![
+            PacketRecord {
+                direction: Direction::Tx,
+                timestamp_micros: 7,
+                frame: malformed,
+            },
+            PacketRecord {
+                direction: Direction::Rx,
+                timestamp_micros: 9,
+                frame: L2capFrame::new(Cid::DYNAMIC_START, vec![0xFF; 40]),
+            },
+        ]);
+        let mut encoded = Fnv64::new();
+        for record in trace.records() {
+            encoded.write_u8(u8::from(record.direction == Direction::Rx));
+            encoded.write_u64(record.timestamp_micros);
+            encoded.write(&record.frame.to_bytes());
+        }
+        assert_eq!(trace_digest(&trace), encoded.finish());
     }
 
     #[test]

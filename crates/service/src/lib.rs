@@ -2,15 +2,17 @@
 //!
 //! [`SweepService`] turns a [`SweepSpec`] — the cross product of device
 //! profiles and campaign seeds, cut into shards — into a worker pool that
-//! drains the job queue, commits results **in shard order**, and rewrites a
-//! streamed-JSON [`Checkpoint`] after every commit.  Because campaigns are
-//! bit-for-bit deterministic, a killed sweep does not merely *resume* from
-//! the last committed shard: the resume is *verified* by re-running a
-//! committed shard and comparing its digest ([`ResumeVerify`]).  Finished
-//! crashing jobs are clustered in a [`CorpusStore`] keyed by crash-dump
-//! identity × state-coverage signature, so a thousand jobs tripping the
-//! same seeded vulnerability collapse into one cluster with an exemplar
-//! trace.
+//! drains the job queue and commits results **in shard order** to a
+//! [`Checkpoint`] journal: the first commit creates the file atomically,
+//! and every later commit appends one compact JSON line holding only what
+//! its shard added.  A kill mid-append leaves a torn last line, which a
+//! resume drops and truncates.  Because campaigns are bit-for-bit
+//! deterministic, a killed sweep does not merely *resume* from the last
+//! committed shard: the resume is *verified* by re-running a committed
+//! shard and comparing its digest ([`ResumeVerify`]).  Finished crashing
+//! jobs are clustered in a [`CorpusStore`] keyed by crash-dump identity ×
+//! state-coverage signature, so a thousand jobs tripping the same seeded
+//! vulnerability collapse into one cluster with an exemplar trace.
 //!
 //! The `l2fuzz-service` binary wraps all of this for operators; see the
 //! repository README's "Operating a sweep" section.
@@ -47,7 +49,8 @@ pub enum ServiceError {
         /// The underlying filesystem error.
         source: std::io::Error,
     },
-    /// A checkpoint file exists but does not parse.
+    /// A complete line of a checkpoint file does not parse, or does not
+    /// fit the lines before it.
     Json {
         /// The checkpoint path involved.
         path: String,
@@ -69,6 +72,17 @@ pub enum ServiceError {
         /// Digest recorded in the checkpoint.
         expected: u64,
         /// Digest the re-run produced.
+        found: u64,
+    },
+    /// A checkpoint's stored exemplar trace does not hash to the trace
+    /// digest its exemplar job recorded: the file changed after it was
+    /// written, and the corrupt trace must not reach the report.
+    ExemplarMismatch {
+        /// The exemplar job.
+        job: usize,
+        /// Trace digest recorded in the job's summary.
+        expected: u64,
+        /// Digest of the stored exemplar trace.
         found: u64,
     },
     /// The quarantine threshold tripped: more jobs failed or timed out than
@@ -106,6 +120,15 @@ impl fmt::Display for ServiceError {
                 f,
                 "resume verification failed: shard {shard} re-ran to digest \
                  {found:016x}, checkpoint recorded {expected:016x}"
+            ),
+            ServiceError::ExemplarMismatch {
+                job,
+                expected,
+                found,
+            } => write!(
+                f,
+                "checkpoint exemplar trace of job {job} hashes to {found:016x}, \
+                 its summary recorded {expected:016x}"
             ),
             ServiceError::TooManyFailures { limit, failed } => write!(
                 f,

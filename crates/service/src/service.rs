@@ -3,12 +3,12 @@
 //!
 //! Workers claim shards from an atomic cursor and run them out of order;
 //! the committer (the calling thread) commits results strictly in shard
-//! order — corpus insertion, checkpoint rewrite, observer callback — so the
-//! durable state after shard *k* is identical no matter how the pool
-//! interleaved.  That in-order commit rule is what makes "resume from the
-//! last completed shard" well-defined, and campaign determinism is what
-//! makes it *verifiable*: re-running a committed shard must reproduce its
-//! recorded digest bit for bit.
+//! order — corpus insertion, one appended checkpoint journal line, observer
+//! callback — so the durable state after shard *k* is identical no matter
+//! how the pool interleaved.  That in-order commit rule is what makes
+//! "resume from the last completed shard" well-defined, and campaign
+//! determinism is what makes it *verifiable*: re-running a committed shard
+//! must reproduce its recorded digest bit for bit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -20,10 +20,10 @@ use l2fuzz::campaign::{Campaign, CampaignBuilder, CampaignPlan, TargetOutcome};
 use l2fuzz::fuzzer::Fuzzer;
 use l2fuzz::session::L2FuzzTool;
 use l2fuzz::{FuzzConfig, TxBudget, WatchdogExpired};
-use sniffer::{StateCoverage, Trace};
+use sniffer::StateCoverage;
 
 use crate::checkpoint::{Checkpoint, JobOutcome, JobSummary, ShardRecord};
-use crate::corpus::ClusterKey;
+use crate::corpus::{ClusterKey, Exemplar};
 use crate::report::ServiceReport;
 use crate::spec::{JobSpec, SweepSpec};
 use crate::ServiceError;
@@ -41,19 +41,12 @@ pub enum ResumeVerify {
     All,
 }
 
-/// A crashing job's corpus contribution, carried from the worker to the
-/// committer alongside its summary.
-struct CrashInfo {
-    key: ClusterKey,
-    vuln_ids: Vec<String>,
-    description: String,
-    trace: Trace,
-}
-
-/// One finished job: the durable summary plus the (transient) corpus data.
+/// One finished job: the durable summary plus, when it crashed the target,
+/// what it donates should it open its cluster (transient: a job that joins
+/// an existing cluster drops it).
 struct JobResult {
     summary: JobSummary,
-    crash: Option<CrashInfo>,
+    exemplar: Option<Exemplar>,
 }
 
 /// A per-commit callback, invoked on the committing thread in shard order.
@@ -141,8 +134,9 @@ impl SweepService {
         self
     }
 
-    /// Enables checkpointing to `path`: the file is rewritten atomically
-    /// after every committed shard, and an existing file is resumed from.
+    /// Enables checkpointing to `path`: the first committed shard creates
+    /// the journal atomically, every later one appends its line, and an
+    /// existing file is resumed from (after truncating a torn last line).
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
         self
@@ -197,6 +191,8 @@ impl SweepService {
     /// - [`ServiceError::Campaign`] when a job's campaign cannot run;
     /// - [`ServiceError::Io`]/[`ServiceError::Json`] on checkpoint
     ///   filesystem or parse failures;
+    /// - [`ServiceError::ExemplarMismatch`] when a stored exemplar trace no
+    ///   longer matches its job's recorded digest;
     /// - [`ServiceError::SpecMismatch`] when the checkpoint on disk belongs
     ///   to a different sweep definition;
     /// - [`ServiceError::VerifyFailed`] when a committed shard does not
@@ -226,21 +222,11 @@ impl SweepService {
         })
     }
 
-    /// Loads the checkpoint when one exists (validating its spec identity),
-    /// otherwise starts fresh.
+    /// Resumes the checkpoint when one exists (validating its spec identity
+    /// and truncating a torn last line), otherwise starts fresh.
     fn load_or_create(&self) -> Result<Checkpoint, ServiceError> {
         match &self.checkpoint_path {
-            Some(path) if path.exists() => {
-                let checkpoint = Checkpoint::load(path)?;
-                let expected = self.spec.digest();
-                if checkpoint.spec_digest != expected || checkpoint.spec != self.spec {
-                    return Err(ServiceError::SpecMismatch {
-                        expected,
-                        found: checkpoint.spec_digest,
-                    });
-                }
-                Ok(checkpoint)
-            }
+            Some(path) if path.exists() => Checkpoint::resume(path, &self.spec),
             _ => Ok(Checkpoint::new(self.spec.clone())),
         }
     }
@@ -347,10 +333,10 @@ impl SweepService {
         }
     }
 
-    /// Commits one shard: corpus insertion in job order, the shard record,
-    /// the checkpoint rewrite, and the observer — then meters the
-    /// quarantine threshold, so the crossing shard is durable before the
-    /// sweep stops.
+    /// Commits one shard: corpus insertion in job order (each crashing job
+    /// joins its cluster or opens it), the shard record, the journal line,
+    /// and the observer — then meters the quarantine threshold, so the
+    /// crossing shard is durable before the sweep stops.
     fn commit(
         &self,
         checkpoint: &mut Checkpoint,
@@ -358,18 +344,14 @@ impl SweepService {
         results: Vec<JobResult>,
     ) -> Result<(), ServiceError> {
         let mut jobs = Vec::with_capacity(results.len());
-        for result in results {
-            if let Some(crash) = result.crash {
-                checkpoint.corpus.insert(
-                    result.summary.index,
-                    result.summary.trace_digest,
-                    crash.key,
-                    crash.vuln_ids,
-                    &crash.description,
-                    &crash.trace,
-                );
+        for JobResult { summary, exemplar } in results {
+            if let (Some(key), Some(exemplar)) = (summary.cluster, exemplar) {
+                let (job, digest) = (summary.index, summary.trace_digest);
+                if !checkpoint.corpus.join(key, job, digest) {
+                    checkpoint.corpus.open(key, job, digest, exemplar);
+                }
             }
-            jobs.push(result.summary);
+            jobs.push(summary);
         }
         let record = ShardRecord {
             shard,
@@ -378,7 +360,7 @@ impl SweepService {
         };
         checkpoint.shards.push(record);
         if let Some(path) = &self.checkpoint_path {
-            checkpoint.save(path)?;
+            checkpoint.persist_last_shard(path)?;
         }
         if let (Some(observer), Some(record)) = (&self.on_commit, checkpoint.shards.last()) {
             observer(record);
@@ -441,7 +423,7 @@ fn run_job(plan: &CampaignPlan, job: JobSpec) -> JobResult {
         plan.run_target_with_seed(job.target_index, job.seed)
     }));
     match run {
-        Ok(Ok(outcome)) => summarize(job, &outcome),
+        Ok(Ok(outcome)) => summarize(job, outcome),
         Ok(Err(err)) => quarantined(job, JobOutcome::Failed, format!("campaign failed: {err}")),
         Err(payload) => {
             if let Some(expired) = payload.downcast_ref::<WatchdogExpired>() {
@@ -476,14 +458,20 @@ fn quarantined(job: JobSpec, outcome: JobOutcome, failure: String) -> JobResult 
             outcome,
             failure: Some(failure),
         },
-        crash: None,
+        exemplar: None,
     }
 }
 
 /// Reduces a campaign outcome to a [`JobResult`].  Only virtual-clock and
 /// seed-derived data lands in the summary, so it is reproducible.
-fn summarize(job: JobSpec, outcome: &TargetOutcome) -> JobResult {
-    let trace = outcome.merged_trace();
+fn summarize(job: JobSpec, mut outcome: TargetOutcome) -> JobResult {
+    // The traces move out of the outcome, merged in time order when
+    // concurrent initiators ran: nothing is copied, and a crashing job's
+    // trace moves on into its exemplar.
+    let mut trace = std::mem::take(&mut outcome.trace);
+    for initiator in &mut outcome.secondary {
+        trace.merge(std::mem::take(&mut initiator.trace));
+    }
     let report_digest =
         crate::digest::digest_bytes(serde_json::to_string_streamed(&outcome.report).as_bytes());
     let trace_digest = crate::digest::trace_digest(&trace);
@@ -492,13 +480,11 @@ fn summarize(job: JobSpec, outcome: &TargetOutcome) -> JobResult {
     let coverage = StateCoverage::from_trace_on(&trace, outcome.report.target.link_type);
 
     let dumps = outcome.device.lock().crash_dumps().to_vec();
-    let crash = if dumps.is_empty() {
-        None
-    } else {
-        let key = ClusterKey {
-            crash_digest: crate::digest::crash_dumps_digest(&dumps),
-            coverage_signature: coverage.signature(),
-        };
+    let cluster = (!dumps.is_empty()).then(|| ClusterKey {
+        crash_digest: crate::digest::crash_dumps_digest(&dumps),
+        coverage_signature: coverage.signature(),
+    });
+    let exemplar = cluster.map(|_| {
         let description = outcome
             .reports()
             .flat_map(|r| r.findings.first())
@@ -510,31 +496,29 @@ fn summarize(job: JobSpec, outcome: &TargetOutcome) -> JobResult {
                     .map(|dump| format!("{} in {}", dump.kind, dump.process))
             })
             .unwrap_or_else(|| "crash without findings or dumps".to_owned());
-        let vuln_ids = dumps.iter().map(|d| d.vuln_id.clone()).collect();
-        Some(CrashInfo {
-            key,
-            vuln_ids,
+        Exemplar {
+            vuln_ids: dumps.iter().map(|d| d.vuln_id.clone()).collect(),
             description,
-            trace: trace.clone(),
-        })
-    };
+            trace,
+        }
+    });
 
     JobResult {
         summary: JobSummary {
             index: job.index,
             target: job.target,
             seed: job.seed,
-            vulnerable: outcome.any_vulnerable() || crash.is_some(),
+            vulnerable: outcome.any_vulnerable() || cluster.is_some(),
             findings: outcome.reports().map(|r| r.findings.len()).sum(),
             packets_sent: outcome.reports().map(|r| r.packets_sent).sum(),
             elapsed_secs: outcome.reports().map(|r| r.elapsed_secs).max().unwrap_or(0),
             report_digest,
             trace_digest,
             coverage_signature: coverage.signature(),
-            cluster: crash.as_ref().map(|c| c.key),
+            cluster,
             outcome: JobOutcome::Completed,
             failure: None,
         },
-        crash,
+        exemplar,
     }
 }

@@ -1,8 +1,10 @@
-//! Fleet-service guarantees: a sweep killed mid-flight resumes from its
-//! checkpoint to the **byte-identical** final report an uninterrupted run
-//! produces; the resume is *verified* (re-running a committed shard must
-//! reproduce its recorded digest); and same-vulnerability jobs collapse
-//! into one corpus cluster with an exemplar trace.
+//! Fleet-service guarantees: a sweep killed mid-flight — between commits or
+//! in the middle of appending a journal line — resumes from its checkpoint
+//! to the **byte-identical** final report an uninterrupted run produces;
+//! the resume is *verified* (re-running a committed shard must reproduce
+//! its recorded digest, and every stored exemplar trace must hash to its
+//! job's digest); and same-vulnerability jobs collapse into one corpus
+//! cluster with an exemplar trace.
 
 use std::path::PathBuf;
 
@@ -136,12 +138,19 @@ fn tampered_checkpoint_fails_resume_verification() {
         .expect("partial sweep runs");
 
     // Corrupt the last committed shard's pinned digests (keeping the JSON
-    // well-formed): the resume must notice the re-run diverges.
+    // well-formed): the resume must notice the re-run diverges.  Job 2
+    // joined job 0's cluster, so no exemplar is involved, and the rewrite
+    // touches only the journal's last line.
+    let journal = std::fs::read_to_string(&path).expect("journal reads");
     let mut checkpoint = Checkpoint::load(&path).expect("checkpoint loads");
     let last = checkpoint.shards.last_mut().expect("two shards committed");
+    assert_eq!(last.jobs[0].index, 2);
     last.jobs[0].trace_digest ^= 1;
     last.digest = l2fuzz_repro::service::ShardRecord::digest_jobs(&last.jobs);
     checkpoint.save(&path).expect("tampered checkpoint saves");
+    let tampered = std::fs::read_to_string(&path).expect("journal reads");
+    let (kept, _) = journal.trim_end().rsplit_once('\n').expect("three lines");
+    assert!(tampered.starts_with(&format!("{kept}\n")) && tampered != journal);
 
     let err = SweepService::new(spec("tamper"))
         .workers(2)
@@ -151,6 +160,152 @@ fn tampered_checkpoint_fails_resume_verification() {
         .expect_err("tampered checkpoint must fail verification");
     assert!(
         matches!(err, ServiceError::VerifyFailed { shard: 1, .. }),
+        "got {err}"
+    );
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_torn_append_is_dropped_and_the_resume_ends_byte_identical() {
+    let reference = SweepService::new(spec("torn"))
+        .workers(2)
+        .run()
+        .expect("reference sweep runs")
+        .report
+        .expect("reference sweep completes");
+    let one_shard = SweepService::new(spec("torn"))
+        .max_shards(1)
+        .run()
+        .expect("one shard runs")
+        .checkpoint;
+
+    let path = scratch("torn");
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(spec("torn"))
+        .workers(2)
+        .checkpoint(&path)
+        .max_shards(2)
+        .run()
+        .expect("partial sweep runs");
+    let journal = std::fs::read(&path).expect("journal reads");
+    let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
+    assert_eq!(lines.len(), 3, "header plus one line per committed shard");
+    let (header, first, second) = (lines[0].len(), lines[1].len(), lines[2].len());
+
+    // Cut the journal anywhere: loading never panics, an unterminated last
+    // line is dropped, and a file without a complete header is malformed.
+    let step = journal.len() / 97 + 1;
+    let cuts = (0..journal.len()).step_by(step).chain([
+        header - 1,
+        header,
+        header + first - 1,
+        header + first,
+        journal.len() - 1,
+    ]);
+    for cut in cuts {
+        std::fs::write(&path, &journal[..cut]).expect("cut journal writes");
+        match Checkpoint::load(&path) {
+            Ok(loaded) => {
+                let complete = if cut < header + first { 0 } else { 1 };
+                assert!(cut >= header, "cut {cut} inside the header loaded");
+                assert_eq!(loaded.completed_shards(), complete, "cut {cut}");
+            }
+            Err(err) => {
+                assert!(cut < header, "cut {cut}: {err}");
+                assert!(matches!(err, ServiceError::Json { .. }), "cut {cut}: {err}");
+            }
+        }
+    }
+
+    // A kill in the middle of appending shard 1: `load` returns the 1-shard
+    // prefix, exactly the state an uninterrupted run held after shard 0.
+    let torn = &journal[..header + first + second / 2];
+    std::fs::write(&path, torn).expect("torn journal writes");
+    assert_eq!(
+        Checkpoint::load(&path).expect("torn journal loads"),
+        one_shard
+    );
+
+    // The resume truncates the fragment, re-commits shard 1 and finishes
+    // to the byte-identical report.
+    let outcome = SweepService::new(spec("torn"))
+        .workers(2)
+        .checkpoint(&path)
+        .verify(ResumeVerify::LastShard)
+        .run()
+        .expect("resume runs");
+    assert_eq!(outcome.resumed_from, 1);
+    assert_eq!(outcome.verified_shards, vec![0]);
+    let resumed = outcome.report.expect("resume completes");
+    assert_eq!(resumed.to_json(), reference.to_json());
+    assert_eq!(resumed.digest(), reference.digest());
+    let healed = std::fs::read(&path).expect("journal reads");
+    assert!(
+        healed.starts_with(&journal),
+        "shard 1 re-committed identically"
+    );
+    assert_eq!(healed, outcome.checkpoint.to_journal().into_bytes());
+
+    // A complete line that does not parse is a typed error for `load` and
+    // for a resume alike, never a panic or a silent drop.
+    let mut malformed = journal[..header + first].to_vec();
+    malformed.extend_from_slice(b"{\"shard\":1,\"digest\":}\n");
+    std::fs::write(&path, &malformed).expect("malformed journal writes");
+    let err = Checkpoint::load(&path).expect_err("malformed line must not load");
+    assert!(matches!(err, ServiceError::Json { .. }), "got {err}");
+    let err = SweepService::new(spec("torn"))
+        .checkpoint(&path)
+        .run()
+        .expect_err("malformed line must stop the resume");
+    assert!(matches!(err, ServiceError::Json { .. }), "got {err}");
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_corrupt_exemplar_from_an_earlier_shard_is_caught_on_load() {
+    let path = scratch("exemplar");
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(spec("exemplar"))
+        .workers(2)
+        .checkpoint(&path)
+        .max_shards(2)
+        .run()
+        .expect("partial sweep runs");
+
+    // Shard 0's line opened the D2 cluster with job 0's trace.  Flip one
+    // bit of a payload byte in that trace, keeping the JSON well-formed.
+    let journal = std::fs::read_to_string(&path).expect("journal reads");
+    let lines: Vec<&str> = journal.split_inclusive('\n').collect();
+    let trace_at = lines[1]
+        .find("\"exemplar_trace\"")
+        .expect("shard 0 opened a cluster");
+    let key = "\"payload\":[";
+    let at = lines[1][trace_at..]
+        .match_indices(key)
+        .map(|(i, _)| trace_at + i + key.len())
+        .find(|&i| lines[1].as_bytes()[i].is_ascii_digit())
+        .expect("the exemplar carries payload bytes");
+    let end = at + lines[1][at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let byte: u8 = lines[1][at..end].parse().expect("payload byte");
+    let flipped = format!("{}{}{}", &lines[1][..at], byte ^ 1, &lines[1][end..]);
+    std::fs::write(&path, [lines[0], &flipped, lines[2]].concat()).expect("journal writes");
+
+    let err = Checkpoint::load(&path).expect_err("corrupt exemplar must not load");
+    assert!(
+        matches!(err, ServiceError::ExemplarMismatch { job: 0, .. }),
+        "got {err}"
+    );
+    // `LastShard` re-proves only shard 1; the fold still refuses the trace.
+    let err = SweepService::new(spec("exemplar"))
+        .workers(2)
+        .checkpoint(&path)
+        .verify(ResumeVerify::LastShard)
+        .run()
+        .expect_err("corrupt exemplar must stop the resume");
+    assert!(
+        matches!(err, ServiceError::ExemplarMismatch { job: 0, .. }),
         "got {err}"
     );
 

@@ -1,7 +1,7 @@
 //! Streaming replay guarantee: every artifact the fleet service persists —
-//! fuzz reports, packet traces, checkpoints, corpus entries — must survive
-//! `JsonStreamWriter` → `JsonStreamReader` → `JsonStreamWriter` with
-//! **byte-identical** re-serialization, without ever building a
+//! fuzz reports, packet traces, checkpoint journals, corpus entries — must
+//! survive `JsonStreamWriter` → `JsonStreamReader` → `JsonStreamWriter`
+//! with **byte-identical** re-serialization, without ever building a
 //! `serde_json::Value` tree.  The inputs are real campaign and sweep
 //! outputs, not synthetic fixtures, so the round trip covers every field a
 //! production run actually populates.
@@ -9,26 +9,28 @@
 use l2fuzz_repro::btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz_repro::l2fuzz::campaign::Campaign;
 use l2fuzz_repro::l2fuzz::report::FuzzReport;
-use l2fuzz_repro::service::{Checkpoint, CorpusStore, ServiceReport, SweepService, SweepSpec};
+use l2fuzz_repro::service::{
+    Checkpoint, CorpusStore, ServiceReport, SweepOutcome, SweepService, SweepSpec,
+};
 use l2fuzz_repro::sniffer::Trace;
 use serde_json::{from_str_streamed, to_string_pretty_streamed, to_string_streamed};
 
 /// A finished sweep with at least one crash cluster, for realistic
-/// checkpoint and corpus payloads.
-fn finished_sweep() -> (Checkpoint, ServiceReport) {
+/// checkpoint and corpus payloads; one job per shard, so a checkpointed
+/// run appends three journal lines after creating the file.
+fn finished_sweep(service: impl FnOnce(SweepService) -> SweepService) -> SweepOutcome {
     let spec = SweepSpec::new(
         "stream-replay",
         [ProfileId::D2, ProfileId::D4],
         SweepSpec::derived_seeds(0x5EED, 2),
     )
     .with_budget(2000)
-    .with_shard_size(3);
-    let outcome = SweepService::new(spec)
-        .workers(2)
+    .with_shard_size(1);
+    let outcome = service(SweepService::new(spec).workers(2))
         .run()
         .expect("sweep runs");
-    let report = outcome.report.expect("sweep completed");
-    (outcome.checkpoint, report)
+    assert!(outcome.is_complete(), "sweep completed");
+    outcome
 }
 
 #[test]
@@ -74,21 +76,36 @@ fn trace_replays_byte_identically_through_the_reader() {
 
 #[test]
 fn checkpoint_replays_byte_identically_through_the_reader() {
-    let (checkpoint, _) = finished_sweep();
+    let dir = std::env::temp_dir().join("l2fuzz-stream-replay");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let appended = dir.join(format!("appended-{}.jsonl", std::process::id()));
+    let saved = dir.join(format!("saved-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&appended);
+    let checkpoint = finished_sweep(|service| service.checkpoint(&appended)).checkpoint;
     assert!(
         !checkpoint.corpus.is_empty(),
         "the D2 jobs must have produced a crash cluster"
     );
+    let journal = std::fs::read(&appended).expect("journal reads");
+    assert_eq!(journal.iter().filter(|&&b| b == b'\n').count(), 5);
 
-    let json = checkpoint.to_json();
-    let back = Checkpoint::from_json(&json).expect("checkpoint parses");
+    // The file the service appended shard by shard is `save` of the final
+    // state, byte for byte.
+    checkpoint.save(&saved).expect("checkpoint saves");
+    assert_eq!(std::fs::read(&saved).expect("saved journal reads"), journal);
+
+    // And the journal folds back to that state and re-renders identically.
+    let back = Checkpoint::load(&appended).expect("checkpoint parses");
     assert_eq!(back, checkpoint);
-    assert_eq!(back.to_json(), json);
+    assert_eq!(back.to_journal().into_bytes(), journal);
+
+    std::fs::remove_file(&appended).ok();
+    std::fs::remove_file(&saved).ok();
 }
 
 #[test]
 fn corpus_and_report_replay_byte_identically_through_the_reader() {
-    let (_, report) = finished_sweep();
+    let report = finished_sweep(|service| service).report.expect("report");
 
     // The corpus store alone (the artifact an operator ships around).
     let corpus_json = to_string_streamed(&report.corpus);
