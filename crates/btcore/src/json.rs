@@ -168,14 +168,30 @@ mod tests {
             to_string_streamed(&buf),
             serde_json::to_string(&buf).unwrap()
         );
-        for err in [
-            ConnectionError::Failed,
-            ConnectionError::Aborted,
-            ConnectionError::Timeout,
-        ] {
+        for err in ConnectionError::ALL {
             assert_eq!(
                 to_string_streamed(&err),
                 serde_json::to_string(&err).unwrap()
+            );
+        }
+        for class in [
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+            DeviceClass::Computer,
+            DeviceClass::Audio,
+            DeviceClass::Wearable,
+            DeviceClass::Peripheral,
+            DeviceClass::Other,
+        ] {
+            assert_eq!(
+                to_string_streamed(&class),
+                serde_json::to_string(&class).unwrap()
+            );
+        }
+        for link in LinkType::ALL {
+            assert_eq!(
+                to_string_streamed(&link),
+                serde_json::to_string(&link).unwrap()
             );
         }
         assert_eq!(to_string_streamed(&Psm::SDP), "1");

@@ -422,6 +422,16 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
+    fn profile_ids_stream_like_their_derived_encodings() {
+        for id in ProfileId::ALL.into_iter().chain(ProfileId::EXTENDED) {
+            assert_eq!(
+                serde_json::to_string_streamed(&id),
+                serde_json::to_string(&id).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn there_are_eight_profiles_with_unique_addresses() {
         let profiles = DeviceProfile::all();
         assert_eq!(profiles.len(), 8);

@@ -264,6 +264,21 @@ mod tests {
     use hci::medium::{EventMedium, Medium};
     use l2cap::packet::signaling_frame;
 
+    #[test]
+    fn port_statuses_stream_like_their_derived_encodings() {
+        for status in [
+            PortStatus::OpenWithoutPairing,
+            PortStatus::RequiresPairing,
+            PortStatus::NotSupported,
+            PortStatus::NoResponse,
+        ] {
+            assert_eq!(
+                serde_json::to_string_streamed(&status),
+                serde_json::to_string(&status).unwrap()
+            );
+        }
+    }
+
     fn scan_profile(id: ProfileId) -> ScanReport {
         let clock = SimClock::new();
         let mut air = EventMedium::new(clock.clone());

@@ -228,6 +228,21 @@ impl serde_json::StreamDeserialize for FeedbackCorpus {
 mod tests {
     use super::*;
 
+    #[test]
+    fn response_classes_stream_like_their_derived_encodings() {
+        for class in [
+            ResponseClass::Silent,
+            ResponseClass::Rejected,
+            ResponseClass::Refused,
+            ResponseClass::Answered,
+        ] {
+            assert_eq!(
+                serde_json::to_string_streamed(&class),
+                serde_json::to_string(&class).unwrap()
+            );
+        }
+    }
+
     fn entry(state: ChannelState, signature: u32, class: ResponseClass) -> CorpusEntry {
         CorpusEntry {
             state,

@@ -139,6 +139,16 @@ mod tests {
     use btcore::Cid;
 
     #[test]
+    fn directions_stream_like_their_derived_encodings() {
+        for direction in [Direction::Tx, Direction::Rx] {
+            assert_eq!(
+                serde_json::to_string_streamed(&direction),
+                serde_json::to_string(&direction).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn default_link_is_reliable_and_slowish() {
         let cfg = LinkConfig::default();
         assert_eq!(cfg.loss_probability, 0.0);

@@ -56,20 +56,18 @@ mod tests {
                 serde_json::to_string(&state).unwrap()
             );
         }
-        for code in [
-            CommandCode::ConnectionRequest,
-            CommandCode::LeCreditBasedConnectionRequest,
-            CommandCode::FlowControlCreditInd,
-        ] {
+        for code in CommandCode::ALL {
             assert_eq!(
                 to_string_streamed(&code),
                 serde_json::to_string(&code).unwrap()
             );
         }
-        assert_eq!(
-            to_string_streamed(&Job::Configuration),
-            serde_json::to_string(&Job::Configuration).unwrap()
-        );
+        for job in Job::ALL {
+            assert_eq!(
+                to_string_streamed(&job),
+                serde_json::to_string(&job).unwrap()
+            );
+        }
     }
 
     #[test]

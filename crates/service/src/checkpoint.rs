@@ -14,8 +14,9 @@
 //! [`Checkpoint`] the service held.  A kill mid-append leaves an
 //! unterminated last line: `load` drops it as torn, and a resumed sweep
 //! truncates it before appending again.  A complete line that does not
-//! parse is a [`ServiceError::Json`], and an exemplar trace that no longer
-//! hashes to its job's recorded digest is a
+//! parse, that does not hold the spec's jobs for its shard, or whose jobs
+//! do not hash to its recorded digest is a [`ServiceError::Json`], and an
+//! exemplar trace that no longer hashes to its job's recorded digest is a
 //! [`ServiceError::ExemplarMismatch`].  A resumed sweep continues from the
 //! first uncommitted shard; because campaigns are deterministic, re-running
 //! any committed shard must reproduce its recorded digest, which is how a
@@ -313,7 +314,8 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Returns [`ServiceError::Io`] on filesystem failures,
-    /// [`ServiceError::Json`] when a complete line is malformed, and
+    /// [`ServiceError::Json`] when a complete line is malformed or
+    /// inconsistent with the spec or its own digest, and
     /// [`ServiceError::ExemplarMismatch`] when a stored exemplar trace does
     /// not hash to its job's recorded trace digest.
     pub fn load(path: &Path) -> Result<Checkpoint, ServiceError> {
@@ -372,12 +374,30 @@ impl Checkpoint {
 
     /// Replays shard line `n` in job order: a crashing job joins its
     /// cluster, or opens one from the line's next stored cluster, whose
-    /// exemplar trace must hash to the trace digest the job recorded.
+    /// exemplar trace must hash to the trace digest the job recorded.  The
+    /// line must hold exactly the spec's jobs for its shard, and its digest
+    /// must be the digest of those jobs, so an edited summary cannot ride
+    /// on the digest it was committed under.
     fn fold_shard(&mut self, line: ShardLine, path: &Path, n: usize) -> Result<(), ServiceError> {
         let ShardLine { record, clusters } = line;
         let committed = self.shards.len();
         if record.shard != committed {
             let msg = format!("shard {} follows {committed} shard(s)", record.shard);
+            return Err(malformed(path, n, msg));
+        }
+        let indices = record.jobs.iter().map(|job| job.index);
+        let holds_its_jobs =
+            committed < self.spec.shard_count() && indices.eq(self.spec.shard_jobs(committed));
+        if !holds_its_jobs {
+            let msg = format!("shard {committed} does not hold the sweep's jobs for it");
+            return Err(malformed(path, n, msg));
+        }
+        let digest = ShardRecord::digest_jobs(&record.jobs);
+        if record.digest != digest {
+            let msg = format!(
+                "shard {committed} records digest {:016x}, but its jobs hash to {digest:016x}",
+                record.digest
+            );
             return Err(malformed(path, n, msg));
         }
         let mut clusters = clusters.into_iter().peekable();
@@ -595,6 +615,20 @@ mod tests {
     }
 
     #[test]
+    fn job_outcomes_stream_like_their_derived_encodings() {
+        for outcome in [
+            JobOutcome::Completed,
+            JobOutcome::Failed,
+            JobOutcome::TimedOut,
+        ] {
+            assert_eq!(
+                serde_json::to_string_streamed(&outcome),
+                serde_json::to_string(&outcome).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn quarantined_jobs_pin_their_outcome_in_the_shard_digest() {
         let cp = sample();
         assert_eq!(cp.failed_jobs(), 1);
@@ -637,6 +671,15 @@ mod tests {
             journal.replace(
                 r#""clusters":[]"#,
                 &format!(r#""clusters":{}"#, stored.replace(":0,", ":3,")),
+            ),
+            // A summary edited under the digest it was committed with.
+            journal.replace(r#""report_digest":57005,"#, r#""report_digest":57004,"#),
+            // Shard 1 holding a job of another shard.
+            journal.replace(r#"{"index":3,"#, r#"{"index":1,"#),
+            // A shard beyond the spec's last.
+            format!(
+                "{journal}{}",
+                lines[2].replace(r#""shard":1,"#, r#""shard":2,"#)
             ),
         ];
         for case in cases {

@@ -50,7 +50,7 @@ pub enum ServiceError {
         source: std::io::Error,
     },
     /// A complete line of a checkpoint file does not parse, or does not
-    /// fit the lines before it.
+    /// fit the lines before it, the spec's shards or its own digest.
     Json {
         /// The checkpoint path involved.
         path: String,

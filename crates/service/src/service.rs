@@ -190,7 +190,8 @@ impl SweepService {
     /// # Errors
     /// - [`ServiceError::Campaign`] when a job's campaign cannot run;
     /// - [`ServiceError::Io`]/[`ServiceError::Json`] on checkpoint
-    ///   filesystem or parse failures;
+    ///   filesystem failures, or journal lines that do not parse or that
+    ///   contradict the spec or their own digest;
     /// - [`ServiceError::ExemplarMismatch`] when a stored exemplar trace no
     ///   longer matches its job's recorded digest;
     /// - [`ServiceError::SpecMismatch`] when the checkpoint on disk belongs

@@ -2,9 +2,10 @@
 //! in the middle of appending a journal line — resumes from its checkpoint
 //! to the **byte-identical** final report an uninterrupted run produces;
 //! the resume is *verified* (re-running a committed shard must reproduce
-//! its recorded digest, and every stored exemplar trace must hash to its
-//! job's digest); and same-vulnerability jobs collapse into one corpus
-//! cluster with an exemplar trace.
+//! its recorded digest, every shard line's summaries must hash to that
+//! digest, and every stored exemplar trace must hash to its job's digest);
+//! and same-vulnerability jobs collapse into one corpus cluster with an
+//! exemplar trace.
 
 use std::path::PathBuf;
 
@@ -162,6 +163,46 @@ fn tampered_checkpoint_fails_resume_verification() {
         matches!(err, ServiceError::VerifyFailed { shard: 1, .. }),
         "got {err}"
     );
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_summary_edited_under_its_committed_digest_is_caught_on_load() {
+    let path = scratch("edited");
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(spec("edited"))
+        .workers(2)
+        .checkpoint(&path)
+        .max_shards(3)
+        .run()
+        .expect("partial sweep runs");
+
+    // Edit one report digest in the middle shard's line, keeping the JSON
+    // well-formed and the shard's recorded digest as committed.  Without
+    // the fold's own check, `All` would re-run the shard, match that
+    // untouched digest and carry the edited summary into the report.
+    let journal = std::fs::read_to_string(&path).expect("journal reads");
+    let mut lines: Vec<String> = journal.split_inclusive('\n').map(str::to_owned).collect();
+    let key = "\"report_digest\":";
+    let at = lines[2].find(key).expect("shard 1 has jobs") + key.len();
+    let end = at + lines[2][at..].find(',').expect("more fields follow");
+    let edited: u64 = lines[2][at..end].parse::<u64>().expect("digest") ^ 1;
+    lines[2].replace_range(at..end, &edited.to_string());
+    std::fs::write(&path, lines.concat()).expect("journal writes");
+
+    let err = Checkpoint::load(&path).expect_err("edited summary must not load");
+    assert!(
+        matches!(err, ServiceError::Json { .. }) && err.to_string().contains("line 3"),
+        "got {err}"
+    );
+    let err = SweepService::new(spec("edited"))
+        .workers(2)
+        .checkpoint(&path)
+        .verify(ResumeVerify::All)
+        .run()
+        .expect_err("edited summary must stop the resume");
+    assert!(matches!(err, ServiceError::Json { .. }), "got {err}");
 
     std::fs::remove_file(&path).ok();
 }

@@ -9,6 +9,7 @@
 use l2fuzz_repro::btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz_repro::l2fuzz::campaign::Campaign;
 use l2fuzz_repro::l2fuzz::report::FuzzReport;
+use l2fuzz_repro::service::digest::digest_bytes;
 use l2fuzz_repro::service::{
     Checkpoint, CorpusStore, ServiceReport, SweepOutcome, SweepService, SweepSpec,
 };
@@ -127,4 +128,56 @@ fn corpus_and_report_replay_byte_identically_through_the_reader() {
     assert_eq!(back, report);
     assert_eq!(back.to_json(), json);
     assert_eq!(back.digest(), report.digest());
+}
+
+/// Golden byte pins: the FNV-1a digests of the exact bytes of the pretty
+/// and compact service report, the checkpoint journal and one campaign's
+/// trace.  They are literals, not a comparison with a second writer, so
+/// they hold every artifact's bytes still while the writer underneath is
+/// reworked — and after the tree writer is gone.
+#[test]
+fn rendered_artifacts_match_their_golden_digests() {
+    let dir = std::env::temp_dir().join("l2fuzz-stream-replay");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("golden-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let report = finished_sweep(|service| service.checkpoint(&path))
+        .report
+        .expect("report");
+    assert!(
+        !report.corpus.is_empty(),
+        "the D2 jobs must have opened a crash cluster"
+    );
+    let journal = std::fs::read(&path).expect("journal reads");
+    std::fs::remove_file(&path).ok();
+    let trace = Campaign::builder()
+        .target(DeviceProfile::table5(ProfileId::D4))
+        .seed(7)
+        .run()
+        .expect("campaign runs")
+        .into_single()
+        .trace;
+
+    let pins = [
+        (
+            "pretty report",
+            report.to_json().into_bytes(),
+            0x84cd_cbd0_0b98_5f38,
+        ),
+        (
+            "compact report",
+            to_string_streamed(&report).into_bytes(),
+            0x9ba7_c3b2_1cc4_aafe,
+        ),
+        ("checkpoint journal", journal, 0x6f60_df93_1782_3361),
+        (
+            "D4 seed 7 trace",
+            trace.to_json().into_bytes(),
+            0xb6f0_4e76_ba08_325b,
+        ),
+    ];
+    for (artifact, bytes, pinned) in pins {
+        let digest = digest_bytes(&bytes);
+        assert_eq!(digest, pinned, "{artifact} bytes moved: {digest:#018x}");
+    }
 }
