@@ -1,10 +1,13 @@
-//! A counting global allocator for measuring per-packet allocation budgets.
+//! A counting global allocator for measuring allocation budgets.
 //!
-//! Shared by `tests/alloc_per_packet.rs` (which *enforces* the zero-copy
-//! pipeline's ≤ 2 allocations per injected packet) and the `perf_report`
-//! bench binary (which *reports* allocs/packet into `BENCH_PR3.json`), so
-//! the enforced budget and the tracked baseline are measured by the same
-//! code.
+//! Shared by the gating tests — `tests/alloc_per_packet.rs` (no allocation
+//! per injected packet; a tap allocates only to grow; counted per thread, so
+//! its tests cannot see each other's allocations), `tests/campaign_allocs.rs`
+//! (at most 3 allocations per packet over whole budget campaigns) and
+//! `tests/render_allocs.rs` (no allocation per rendered record) — and the
+//! `perf_report` bench binary (which *reports* allocs/packet into
+//! `BENCH_PR10.json`), so the enforced budgets and the tracked baseline are
+//! measured by the same code.
 //!
 //! Install it in a binary or test crate with:
 //!
@@ -14,6 +17,7 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every heap allocation made through the global allocator.
@@ -21,19 +25,31 @@ pub struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and without a destructor, so reading it from inside
+    // the allocator never allocates or registers anything.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: delegates every operation verbatim to the `System` allocator; the
-// only addition is a relaxed counter increment on the allocation paths
-// (`alloc`, `alloc_zeroed` via the default impl's `alloc`, and `realloc`).
+// only addition is a process and a thread counter increment on the
+// allocation paths (`alloc`, `alloc_zeroed` via the default impl's `alloc`,
+// and `realloc`).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,6 +57,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Total allocations counted so far in this process.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations counted so far on the calling thread: a window measured with
+/// it excludes what other threads (another test, the test harness) allocate
+/// meanwhile, so several measuring tests can share one binary.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -51,6 +74,9 @@ mod tests {
     fn counter_is_monotonic() {
         let a = super::allocations();
         let b = super::allocations();
+        assert!(b >= a);
+        let a = super::thread_allocations();
+        let b = super::thread_allocations();
         assert!(b >= a);
     }
 }

@@ -47,7 +47,7 @@ impl BFuzzFuzzer {
 
     fn send_raw(&mut self, clock: &SimClock, link: &mut LinkHandle, packet: SignalingPacket) {
         clock.advance(Duration::from_micros(1_200));
-        let _ = link.send_frame(&packet.to_frame_in(link.arena()));
+        let _ = link.send_frame(&packet.to_frame());
     }
 }
 

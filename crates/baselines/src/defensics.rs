@@ -56,7 +56,7 @@ impl DefensicsFuzzer {
 
     fn send_raw(&mut self, clock: &SimClock, link: &mut LinkHandle, packet: SignalingPacket) {
         clock.advance(self.think_time);
-        let _ = link.send_frame(&packet.to_frame_in(link.arena()));
+        let _ = link.send_frame(&packet.to_frame());
     }
 }
 

@@ -32,8 +32,7 @@ use l2cap::packet::parse_signaling;
 use std::time::Duration;
 
 /// Shared transmit helper of the three baselines: charge the tool's
-/// per-test-case think time, frame the command into the link's buffer arena
-/// and send it.
+/// per-test-case think time, frame the command and send it.
 ///
 /// Every baseline only ever inspects Connection Responses in the answers
 /// (to learn the allocated DCID), so only those are decoded — the rest of
@@ -46,8 +45,7 @@ pub(crate) fn send_command(
     command: &Command,
 ) -> Vec<Command> {
     clock.advance(think_time);
-    link.send_frame(&l2cap::packet::signaling_frame_in(
-        link.arena(),
+    link.send_frame(&l2cap::packet::signaling_frame(
         Identifier(id.max(1)),
         command,
     ))

@@ -7,7 +7,7 @@ use l2cap::packet::{parse_signaling, signaling_frame, L2capFrame};
 fn bench_codec(c: &mut Criterion) {
     let frame = signaling_frame(
         Identifier(1),
-        Command::ConnectionRequest(ConnectionRequest {
+        &Command::ConnectionRequest(ConnectionRequest {
             psm: Psm::SDP,
             scid: Cid(0x0040),
         }),

@@ -70,7 +70,7 @@ fn measure(
     packets_per_iter: u64,
     mut iter: impl FnMut(),
 ) -> Measured {
-    // Warm-up: populate arenas, caches and the allocator.
+    // Warm-up: populate caches, scratch buffers and the allocator.
     iter();
     let mut samples_ns: Vec<u64> = Vec::with_capacity(runs);
     let allocs_before = allocations();
@@ -108,7 +108,7 @@ fn main() {
     {
         let frame = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0040),
             }),

@@ -188,7 +188,7 @@ impl ByteWriter {
     }
 
     /// Wraps an existing vector; written bytes are appended after its current
-    /// contents.  Lets encoders write into reused (e.g. arena-checked-out)
+    /// contents.  Lets encoders write into reused (e.g. scratch)
     /// buffers instead of allocating a fresh one per packet.
     pub fn wrap(buf: Vec<u8>) -> Self {
         ByteWriter { buf }

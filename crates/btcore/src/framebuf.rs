@@ -1,146 +1,153 @@
-//! Shared frame buffers and the recycling arena behind the zero-copy packet
-//! pipeline.
+//! Frame buffers: the byte container every packet layer shares.
 //!
-//! Every layer crossing of the original pipeline copied payload bytes: the
-//! codec re-owned payloads on parse, fragmentation copied each ACL chunk, and
-//! every tap crossing cloned whole frames.  [`FrameBuf`] removes those copies:
-//! it is a cheaply-cloneable, sliceable view into a reference-counted byte
-//! buffer (a minimal, dependency-free equivalent of `bytes::Bytes`), so a
-//! parsed payload, an ACL fragment and a tap record can all share the bytes of
-//! the frame that produced them.
+//! A [`FrameBuf`] of up to [`FrameBuf::INLINE_CAPACITY`] bytes keeps its
+//! bytes inside the value.  Signalling frames are that small, so cloning a
+//! frame into a tap record, slicing a C-frame out of it, or parsing it on
+//! the device or in the sniffer copies a few dozen bytes and touches
+//! neither the heap nor an atomic.  Larger frames (MTU tests, multi-fragment
+//! ACL) live in one `Arc<[u8]>`: their clones and slices share the bytes by
+//! reference count, a minimal, dependency-free equivalent of `bytes::Bytes`.
 //!
-//! [`FrameArena`] closes the loop on the transmit side: buffers checked out of
-//! an arena, filled and frozen into [`FrameBuf`]s return to the arena's pool
-//! automatically when the last clone is dropped, so a steady-state fuzzing
-//! loop stops allocating fresh backing stores per packet.
+//! Encoders fill the thread's reused scratch vector through
+//! [`FrameBuf::build`] and copy the finished bytes in once, so building a
+//! frame makes no allocation of its own.
 //!
 //! # Example
 //!
 //! ```
-//! use btcore::{FrameArena, FrameBuf};
+//! use btcore::FrameBuf;
 //!
-//! let arena = FrameArena::new();
-//! let mut buf = arena.checkout();
-//! buf.extend_from_slice(&[0x0C, 0x00, 0x01, 0x00]);
-//! let frame: FrameBuf = buf.freeze();
-//! let header = frame.slice(..2);       // zero-copy view
-//! assert_eq!(header, [0x0C, 0x00]);
-//! drop((frame, header));               // last clone returns the buffer
-//! assert_eq!(arena.pooled(), 1);
+//! let frame = FrameBuf::build(|out| out.extend_from_slice(&[0x0C, 0x00, 0x01, 0x00]));
+//! let payload = frame.slice(2..);
+//! assert_eq!(payload, [0x01, 0x00]);
+//! // A slice remembers the bytes before it: widening restores the frame.
+//! assert_eq!(payload.widen_front(2), Some(frame));
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::ops::{Bound, Deref, RangeBounds};
+use std::sync::Arc;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Upper bound on idle buffers one [`FrameArena`] keeps alive.
-const MAX_POOLED_BUFFERS: usize = 64;
-
-/// The arena's free list plus an (approximate) lock-free length mirror, so
-/// the full-pool case — e.g. a long trace dropping thousands of retained
-/// buffers at once — skips the mutex entirely.
-struct Pool {
-    list: Mutex<Vec<Vec<u8>>>,
-    approx_len: AtomicUsize,
+/// Where a [`FrameBuf`]'s bytes live, and the window of them it exposes.
+#[derive(Clone)]
+enum Repr {
+    /// Up to [`FrameBuf::INLINE_CAPACITY`] bytes held in the value itself.
+    Inline {
+        start: u8,
+        end: u8,
+        bytes: [u8; FrameBuf::INLINE_CAPACITY],
+    },
+    /// Larger frames: one reference-counted allocation that every clone and
+    /// slice shares.
+    Shared {
+        bytes: Arc<[u8]>,
+        start: usize,
+        end: usize,
+    },
 }
 
-impl Pool {
-    fn new() -> Pool {
-        Pool {
-            list: Mutex::new(Vec::new()),
-            approx_len: AtomicUsize::new(0),
-        }
-    }
-}
-
-fn lock_pool(pool: &Pool) -> std::sync::MutexGuard<'_, Vec<Vec<u8>>> {
-    pool.list.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The reference-counted backing store of one or more [`FrameBuf`] views.
-struct Shared {
-    data: Vec<u8>,
-    /// The arena pool the backing store returns to when the last view drops;
-    /// `None` for buffers not owned by any arena.  A strong handle: keeping
-    /// the pool alive from its buffers costs nothing and makes the
-    /// recycle-on-drop path two plain atomic ops instead of a weak upgrade.
-    pool: Option<Arc<Pool>>,
-}
-
-impl Drop for Shared {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            if pool.approx_len.load(Ordering::Relaxed) >= MAX_POOLED_BUFFERS {
-                // Full pool: let the backing store free without touching the
-                // mutex (the mass-drop path when a whole trace goes away).
-                return;
-            }
-            let mut data = std::mem::take(&mut self.data);
-            data.clear();
-            let mut guard = lock_pool(&pool);
-            if guard.len() < MAX_POOLED_BUFFERS {
-                guard.push(data);
-                pool.approx_len.store(guard.len(), Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// A cheaply-cloneable, sliceable view into a shared byte buffer.
+/// A cheaply-cloneable, sliceable byte buffer.
 ///
-/// Cloning and [slicing](FrameBuf::slice) never copy the underlying bytes;
-/// both operations only bump a reference count.  Equality, hashing through
-/// [`Deref`], serialization and `Debug` all behave exactly like the byte
-/// slice the view exposes, so a `FrameBuf` field is a drop-in replacement for
-/// a `Vec<u8>` payload in any packet struct.
+/// Small buffers are copied by value; large ones share one allocation, so
+/// cloning and [slicing](FrameBuf::slice) never allocate.  Equality,
+/// hashing, serialization and `Debug` all go through
+/// [`as_slice`](FrameBuf::as_slice) and behave exactly like the byte slice
+/// the view exposes, whichever representation holds the bytes, so a
+/// `FrameBuf` field is a drop-in replacement for a `Vec<u8>` payload in any
+/// packet struct.
+#[derive(Clone)]
 pub struct FrameBuf {
-    shared: Arc<Shared>,
-    start: usize,
-    end: usize,
+    repr: Repr,
 }
 
 impl FrameBuf {
-    /// An empty buffer (shares one static backing store; never allocates
-    /// per call beyond the first).
-    pub fn new() -> FrameBuf {
-        static EMPTY: OnceLock<FrameBuf> = OnceLock::new();
-        EMPTY.get_or_init(|| FrameBuf::from_vec(Vec::new())).clone()
-    }
+    /// Buffers of up to this many bytes keep their bytes inline.  53 fills
+    /// the value to 56 bytes and holds every signalling frame of the
+    /// benchmark's campaigns; only rare feedback-engine havoc output grows
+    /// past it and takes the shared path.
+    pub const INLINE_CAPACITY: usize = 53;
 
-    /// Wraps an owned byte vector without copying it.
-    pub fn from_vec(data: Vec<u8>) -> FrameBuf {
-        let end = data.len();
+    /// An empty buffer.
+    pub const fn new() -> FrameBuf {
         FrameBuf {
-            shared: Arc::new(Shared { data, pool: None }),
-            start: 0,
-            end,
+            repr: Repr::Inline {
+                start: 0,
+                end: 0,
+                bytes: [0; FrameBuf::INLINE_CAPACITY],
+            },
         }
     }
 
-    /// Copies a byte slice into a fresh buffer.
+    /// Takes the bytes of an owned vector (see
+    /// [`FrameBuf::copy_from_slice`]).
+    pub fn from_vec(data: Vec<u8>) -> FrameBuf {
+        FrameBuf::copy_from_slice(&data)
+    }
+
+    /// Copies a byte slice: inline when it fits, otherwise into one fresh
+    /// shared allocation.
     pub fn copy_from_slice(bytes: &[u8]) -> FrameBuf {
-        FrameBuf::from_vec(bytes.to_vec())
+        let len = bytes.len();
+        let repr = if len <= FrameBuf::INLINE_CAPACITY {
+            let mut inline = [0; FrameBuf::INLINE_CAPACITY];
+            inline[..len].copy_from_slice(bytes);
+            Repr::Inline {
+                start: 0,
+                end: len as u8,
+                bytes: inline,
+            }
+        } else {
+            Repr::Shared {
+                bytes: Arc::from(bytes),
+                start: 0,
+                end: len,
+            }
+        };
+        FrameBuf { repr }
+    }
+
+    /// Builds a buffer by letting `fill` write into the thread's reused
+    /// scratch vector (handed over empty), then copies the bytes in once.
+    ///
+    /// The vector is taken out of its slot for the call and put back after
+    /// rather than borrowed, so a `build` nested inside `fill` just starts
+    /// from a fresh vector: the builder cannot panic.
+    pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> FrameBuf {
+        thread_local! {
+            static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
+        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        scratch.clear();
+        fill(&mut scratch);
+        let frame = FrameBuf::copy_from_slice(&scratch);
+        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
+        frame
     }
 
     /// The bytes this view exposes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.shared.data[self.start..self.end]
+        match &self.repr {
+            Repr::Inline { start, end, bytes } => &bytes[usize::from(*start)..usize::from(*end)],
+            Repr::Shared { bytes, start, end } => &bytes[*start..*end],
+        }
     }
 
     /// Number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        let (start, end) = self.window();
+        end - start
     }
 
     /// Returns `true` when the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
-    /// Returns a zero-copy sub-view of this buffer.
+    /// Returns a sub-view of this buffer; a large buffer's slice shares its
+    /// allocation.
     ///
     /// # Panics
     /// Panics if the range is out of bounds or inverted, matching slice
@@ -161,41 +168,57 @@ impl FrameBuf {
             start <= end && end <= len,
             "slice {start}..{end} out of bounds for FrameBuf of length {len}"
         );
-        FrameBuf {
-            shared: self.shared.clone(),
-            start: self.start + start,
-            end: self.start + end,
-        }
+        let (offset, _) = self.window();
+        self.with_window(offset + start, offset + end)
     }
 
-    /// Returns `true` when `self` and `other` are views into the same backing
-    /// store (regardless of range) — i.e. no bytes were copied between them.
+    /// Returns `true` when `self` and `other` are views into the same shared
+    /// allocation (regardless of range), i.e. no bytes were copied between
+    /// them.  Inline buffers hold their own bytes and never share.
     pub fn shares_storage_with(&self, other: &FrameBuf) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
+        match (&self.repr, &other.repr) {
+            (Repr::Shared { bytes: a, .. }, Repr::Shared { bytes: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Returns a view widened by `n` bytes *before* this view's start, if the
-    /// backing store has them: the zero-copy inverse of `slice(n..)`.
+    /// buffer holds them: the inverse of `slice(n..)`, in either
+    /// representation.
     ///
-    /// The extra bytes are whatever precedes the view in its backing buffer —
+    /// The extra bytes are whatever precedes the view in its buffer —
     /// meaningful only when the caller knows how the buffer was built (e.g. a
     /// packet body sliced out of a frame recovering the frame's header).
     pub fn widen_front(&self, n: usize) -> Option<FrameBuf> {
-        self.start.checked_sub(n).map(|start| FrameBuf {
-            shared: self.shared.clone(),
-            start,
-            end: self.end,
-        })
+        let (start, end) = self.window();
+        start
+            .checked_sub(n)
+            .map(|start| self.with_window(start, end))
     }
-}
 
-impl Clone for FrameBuf {
-    fn clone(&self) -> Self {
-        FrameBuf {
-            shared: self.shared.clone(),
-            start: self.start,
-            end: self.end,
+    /// The exposed window, as offsets into the held bytes.
+    fn window(&self) -> (usize, usize) {
+        match self.repr {
+            Repr::Inline { start, end, .. } => (usize::from(start), usize::from(end)),
+            Repr::Shared { start, end, .. } => (start, end),
         }
+    }
+
+    /// The same held bytes behind another window (within their bounds).
+    fn with_window(&self, start: usize, end: usize) -> FrameBuf {
+        let repr = match &self.repr {
+            Repr::Inline { bytes, .. } => Repr::Inline {
+                start: start as u8,
+                end: end as u8,
+                bytes: *bytes,
+            },
+            Repr::Shared { bytes, .. } => Repr::Shared {
+                bytes: bytes.clone(),
+                start,
+                end,
+            },
+        };
+        FrameBuf { repr }
     }
 }
 
@@ -305,128 +328,118 @@ impl Deserialize for FrameBuf {
     }
 }
 
-/// A uniquely-owned, writable buffer checked out of a [`FrameArena`].
-///
-/// Dereferences to `Vec<u8>` for filling; [`FrameBufMut::freeze`] turns it
-/// into an immutable shareable [`FrameBuf`] whose backing store returns to the
-/// arena when the last clone drops.
-pub struct FrameBufMut {
-    data: Vec<u8>,
-    pool: Option<Arc<Pool>>,
-}
-
-impl FrameBufMut {
-    /// A writable buffer not owned by any arena (its backing store is simply
-    /// dropped when the last view of the frozen buffer goes away).
-    pub fn detached() -> FrameBufMut {
-        FrameBufMut {
-            data: Vec::new(),
-            pool: None,
-        }
-    }
-
-    /// Freezes the buffer into an immutable, shareable [`FrameBuf`].
-    pub fn freeze(self) -> FrameBuf {
-        let end = self.data.len();
-        FrameBuf {
-            shared: Arc::new(Shared {
-                data: self.data,
-                pool: self.pool,
-            }),
-            start: 0,
-            end,
-        }
-    }
-}
-
-impl Deref for FrameBufMut {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        &self.data
-    }
-}
-
-impl DerefMut for FrameBufMut {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
-    }
-}
-
-impl fmt::Debug for FrameBufMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.data.as_slice(), f)
-    }
-}
-
-/// A recycling pool of frame buffers for one link's transmit hot path.
-///
-/// Cloning an arena is cheap and yields a handle to the same pool, so a link,
-/// its packet queue and its mutator can all check buffers out of (and return
-/// them to) one shared free list.
-#[derive(Clone)]
-pub struct FrameArena {
-    pool: Arc<Pool>,
-}
-
-impl FrameArena {
-    /// Creates an empty arena.
-    pub fn new() -> FrameArena {
-        FrameArena {
-            pool: Arc::new(Pool::new()),
-        }
-    }
-
-    /// Checks a cleared, writable buffer out of the pool (allocating a fresh
-    /// backing store only when the pool is empty).
-    pub fn checkout(&self) -> FrameBufMut {
-        let data = {
-            let mut guard = lock_pool(&self.pool);
-            let data = guard.pop();
-            self.pool.approx_len.store(guard.len(), Ordering::Relaxed);
-            data
-        }
-        .unwrap_or_default();
-        FrameBufMut {
-            data,
-            pool: Some(self.pool.clone()),
-        }
-    }
-
-    /// Number of idle buffers currently waiting in the pool.
-    pub fn pooled(&self) -> usize {
-        lock_pool(&self.pool).len()
-    }
-}
-
-impl Default for FrameArena {
-    fn default() -> Self {
-        FrameArena::new()
-    }
-}
-
-impl fmt::Debug for FrameArena {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrameArena")
-            .field("pooled", &self.pooled())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    const N: usize = FrameBuf::INLINE_CAPACITY;
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    fn hash_of(buf: &FrameBuf) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        buf.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn every_constructor_holds_the_bytes_at_lengths_around_the_inline_capacity() {
+        for len in [0, 1, N, N + 1, 65_539] {
+            let bytes = pattern(len);
+            let copied = FrameBuf::copy_from_slice(&bytes);
+            assert_eq!(copied.as_slice(), bytes.as_slice(), "len {len}");
+            assert_eq!(copied.len(), len);
+            assert_eq!(copied.is_empty(), len == 0);
+            assert_eq!(FrameBuf::from_vec(bytes.clone()), copied);
+            assert_eq!(FrameBuf::build(|out| out.extend_from_slice(&bytes)), copied);
+            let clone = copied.clone();
+            assert_eq!(clone, copied);
+            // Only buffers above the inline capacity live in a shared
+            // allocation.
+            assert_eq!(clone.shares_storage_with(&copied), len > N, "len {len}");
+        }
+    }
 
     #[test]
     fn clones_and_slices_share_storage() {
-        let buf = FrameBuf::from_vec(vec![1, 2, 3, 4, 5]);
+        // Above the inline capacity, clones and slices are views into one
+        // allocation.
+        let buf = FrameBuf::from_vec(pattern(N + 10));
         let clone = buf.clone();
         let tail = buf.slice(2..);
         assert!(buf.shares_storage_with(&clone));
         assert!(buf.shares_storage_with(&tail));
+        assert!(tail.slice(1..2).shares_storage_with(&buf));
+        assert_eq!(tail.as_slice(), &pattern(N + 10)[2..]);
+        // Inline buffers copy their bytes instead: equal, never shared.
+        let small = FrameBuf::from_vec(vec![1, 2, 3, 4, 5]);
+        let tail = small.slice(2..);
+        assert!(!small.shares_storage_with(&small.clone()));
+        assert!(!small.shares_storage_with(&tail));
+        assert_eq!(small.clone(), small);
         assert_eq!(tail, [3, 4, 5]);
         assert_eq!(tail.slice(1..2), [4]);
-        assert_eq!(buf.len(), 5);
-        assert!(!buf.is_empty());
+        assert_eq!(small.len(), 5);
+        assert!(!small.is_empty());
+    }
+
+    #[test]
+    fn slice_and_widen_front_work_in_both_representations() {
+        for len in [8, N, N + 1, 300] {
+            let bytes = pattern(len);
+            let buf = FrameBuf::copy_from_slice(&bytes);
+            let body = buf.slice(4..);
+            assert_eq!(body.as_slice(), &bytes[4..], "len {len}");
+            assert_eq!(body.widen_front(4), Some(buf.clone()));
+            assert_eq!(body.widen_front(2).unwrap().as_slice(), &bytes[2..]);
+            assert_eq!(body.widen_front(5), None);
+            let inner = body.slice(1..3);
+            assert_eq!(inner.as_slice(), &bytes[5..7]);
+            assert_eq!(inner.widen_front(5).unwrap().as_slice(), &bytes[..7]);
+            assert!(buf.slice(len..).is_empty());
+            assert_eq!(buf.slice(..=1).as_slice(), &bytes[..2]);
+        }
+    }
+
+    #[test]
+    fn equal_bytes_behave_alike_in_either_representation() {
+        // The same ten bytes, once inline and once as a window into a shared
+        // allocation.
+        let big = FrameBuf::copy_from_slice(&pattern(100));
+        let shared = big.slice(10..20);
+        let inline = FrameBuf::copy_from_slice(&pattern(100)[10..20]);
+        assert!(shared.shares_storage_with(&big));
+        assert!(!inline.shares_storage_with(&shared));
+        assert_eq!(inline, shared);
+        assert_eq!(hash_of(&inline), hash_of(&shared));
+        assert_eq!(format!("{inline:?}"), format!("{shared:?}"));
+        assert_eq!(inline.to_value(), shared.to_value());
+        assert_eq!(
+            serde_json::to_string_streamed(&inline),
+            serde_json::to_string_streamed(&shared)
+        );
+        assert_ne!(inline, big);
+    }
+
+    #[test]
+    fn frame_buf_fits_in_one_cache_line() {
+        assert!(std::mem::size_of::<FrameBuf>() <= 64);
+    }
+
+    #[test]
+    fn nested_builds_do_not_disturb_each_other() {
+        let outer = FrameBuf::build(|out| {
+            out.push(1);
+            let inner = FrameBuf::build(|out| out.extend_from_slice(&[2, 3]));
+            out.extend_from_slice(&inner);
+        });
+        assert_eq!(outer, [1, 2, 3]);
+        // The scratch vector comes back empty for the next build.
+        assert_eq!(FrameBuf::build(|out| out.push(9)), [9]);
     }
 
     #[test]
@@ -441,10 +454,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_buffers_share_one_backing_store() {
+    fn empty_buffers_are_equal_whatever_built_them() {
         let a = FrameBuf::new();
-        let b = FrameBuf::default();
-        assert!(a.shares_storage_with(&b));
+        assert_eq!(a, FrameBuf::default());
+        assert_eq!(a, FrameBuf::build(|_| {}));
+        assert_eq!(a, FrameBuf::from_vec(pattern(N + 1)).slice(3..3));
         assert!(a.is_empty());
         assert_eq!(a.len(), 0);
     }
@@ -456,67 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_recycles_backing_stores() {
-        let arena = FrameArena::new();
-        assert_eq!(arena.pooled(), 0);
-        let mut buf = arena.checkout();
-        buf.extend_from_slice(&[1, 2, 3]);
-        let frozen = buf.freeze();
-        let view = frozen.slice(1..);
-        drop(frozen);
-        // A live slice keeps the backing store out of the pool.
-        assert_eq!(arena.pooled(), 0);
-        drop(view);
-        assert_eq!(arena.pooled(), 1);
-        // The recycled buffer comes back cleared.
-        let again = arena.checkout();
-        assert!(again.is_empty());
-        assert_eq!(arena.pooled(), 0);
-    }
-
-    #[test]
-    fn detached_buffers_skip_the_pool() {
-        let arena = FrameArena::new();
-        let mut buf = FrameBufMut::detached();
-        buf.push(7);
-        drop(buf.freeze());
-        assert_eq!(arena.pooled(), 0);
-    }
-
-    #[test]
-    fn buffers_outlive_their_arena() {
-        let arena = FrameArena::new();
-        let mut buf = arena.checkout();
-        buf.push(42);
-        let frozen = buf.freeze();
-        drop(arena);
-        // The buffer keeps its pool alive; dropping it after the arena handle
-        // is gone must not misbehave.
-        assert_eq!(frozen, [42]);
-        drop(frozen);
-    }
-
-    #[test]
-    fn pool_size_is_bounded() {
-        let arena = FrameArena::new();
-        let frozen: Vec<FrameBuf> = (0..(MAX_POOLED_BUFFERS + 8))
-            .map(|i| {
-                let mut b = arena.checkout();
-                b.push(i as u8);
-                b.freeze()
-            })
-            .collect();
-        drop(frozen);
-        assert_eq!(arena.pooled(), MAX_POOLED_BUFFERS);
-    }
-
-    #[test]
     fn serializes_exactly_like_a_byte_vector() {
-        let bytes = vec![0x0Cu8, 0x00, 0xFF];
-        let buf = FrameBuf::from_vec(bytes.clone());
-        assert_eq!(buf.to_value(), bytes.to_value());
-        let back = FrameBuf::from_value(&buf.to_value()).unwrap();
-        assert_eq!(back, buf);
+        for bytes in [vec![0x0Cu8, 0x00, 0xFF], pattern(N + 1)] {
+            let buf = FrameBuf::from_vec(bytes.clone());
+            assert_eq!(buf.to_value(), bytes.to_value());
+            let back = FrameBuf::from_value(&buf.to_value()).unwrap();
+            assert_eq!(back, buf);
+        }
     }
 
     #[test]

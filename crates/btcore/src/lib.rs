@@ -8,8 +8,8 @@
 //!   channel, port, link and signalling identifiers that the paper's *core
 //!   field mutating* technique targets.
 //! * [`codec`] — little-endian byte reader/writer used by every packet codec.
-//! * [`FrameBuf`], [`FrameArena`] — shared, sliceable frame buffers and their
-//!   recycling arena, the backbone of the zero-copy packet pipeline.
+//! * [`FrameBuf`] — the cloneable, sliceable frame buffer every packet layer
+//!   shares: small frames inline, large ones in one shared allocation.
 //! * [`ConnectionError`] — the five connection-level error messages the
 //!   paper's vulnerability-detection phase distinguishes (§III-E).
 //! * [`SimClock`] — a deterministic virtual clock so "elapsed time" results
@@ -50,7 +50,7 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use device::{DeviceClass, DeviceMeta, LinkSlot, LinkType};
 pub use error::{BtError, ConnectionError};
 pub use event::{EventScheduler, EventTicket, SourceId};
-pub use framebuf::{FrameArena, FrameBuf, FrameBufMut};
+pub use framebuf::FrameBuf;
 pub use ids::{Cid, ConnectionHandle, Identifier, Psm};
 pub use oracle::{PingOutcome, TargetOracle};
 pub use rng::{splitmix64, FuzzRng};

@@ -345,7 +345,7 @@ mod tests {
     fn connect(dev: &mut SimulatedDevice) {
         let frame = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0040),
             }),
@@ -382,7 +382,7 @@ mod tests {
     fn connect_silent(dev: &mut SimulatedDevice) {
         let frame = signaling_frame(
             Identifier(9),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0050),
             }),
@@ -400,7 +400,7 @@ mod tests {
         // Drive the device through the adapter, as the air medium would.
         let frame = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0040),
             }),
@@ -453,7 +453,7 @@ mod tests {
         for i in 0..50u8 {
             let frame = signaling_frame(
                 Identifier(i.max(1)),
-                Command::EchoRequest(l2cap::command::EchoRequest { data: vec![i] }),
+                &Command::EchoRequest(l2cap::command::EchoRequest { data: vec![i] }),
             );
             assert!(!dev.receive(LinkSlot::PRIMARY, &frame).is_empty());
         }

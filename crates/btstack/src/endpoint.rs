@@ -69,9 +69,6 @@ pub struct L2capEndpoint {
     rng: FuzzRng,
     packets_processed: u64,
     rejects_sent: u64,
-    /// Arena recycling response-frame buffers: a reply's payload buffer
-    /// returns here once the initiator (and any tap) is done with it.
-    arena: btcore::FrameArena,
 }
 
 impl L2capEndpoint {
@@ -107,7 +104,6 @@ impl L2capEndpoint {
             rng,
             packets_processed: 0,
             rejects_sent: 0,
-            arena: btcore::FrameArena::new(),
         }
     }
 
@@ -157,8 +153,8 @@ impl L2capEndpoint {
         id
     }
 
-    fn reply(&mut self, identifier: Identifier, command: Command) -> L2capFrame {
-        l2cap::packet::signaling_frame_in(&self.arena, identifier, &command)
+    fn reply(&self, identifier: Identifier, command: Command) -> L2capFrame {
+        l2cap::packet::signaling_frame(identifier, &command)
     }
 
     fn reject(
@@ -854,7 +850,7 @@ mod tests {
     fn connect_frame(psm: Psm, scid: u16, id: u8) -> L2capFrame {
         signaling_frame(
             Identifier(id),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm,
                 scid: Cid(scid),
             }),
@@ -888,7 +884,7 @@ mod tests {
         // initiator sends configuration traffic for the channel.
         let out = ep.handle_frame(&signaling_frame(
             Identifier(2),
-            Command::ConfigureRequest(ConfigureRequest {
+            &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x0040),
                 flags: 0,
                 options: vec![],
@@ -957,7 +953,7 @@ mod tests {
         let mut ep = endpoint(VendorStack::BlueZ, ServiceTable::typical(13));
         let out = ep.handle_frame(&signaling_frame(
             Identifier(9),
-            Command::EchoRequest(EchoRequest {
+            &Command::EchoRequest(EchoRequest {
                 data: vec![1, 2, 3],
             }),
         ));
@@ -968,7 +964,7 @@ mod tests {
 
         let out = ep.handle_frame(&signaling_frame(
             Identifier(10),
-            Command::InformationRequest(InformationRequest { info_type: 2 }),
+            &Command::InformationRequest(InformationRequest { info_type: 2 }),
         ));
         match &first_command(&out.responses)[0] {
             Command::InformationResponse(rsp) => assert_eq!(rsp.result, 0),
@@ -985,7 +981,7 @@ mod tests {
         let dcid = 0x0040u16; // first allocation
         let out = ep.handle_frame(&signaling_frame(
             Identifier(2),
-            Command::ConfigureRequest(ConfigureRequest {
+            &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(dcid),
                 flags: 0,
                 options: vec![ConfigOption::Mtu(672)],
@@ -998,7 +994,7 @@ mod tests {
         // Fuzzer answers the device's own Configure Request.
         ep.handle_frame(&signaling_frame(
             Identifier(1),
-            Command::ConfigureResponse(ConfigureResponse {
+            &Command::ConfigureResponse(ConfigureResponse {
                 scid: Cid(dcid),
                 flags: 0,
                 result: ConfigureResult::Success,
@@ -1009,7 +1005,7 @@ mod tests {
 
         let out = ep.handle_frame(&signaling_frame(
             Identifier(3),
-            Command::DisconnectionRequest(DisconnectionRequest {
+            &Command::DisconnectionRequest(DisconnectionRequest {
                 dcid: Cid(dcid),
                 scid: Cid(0x0040),
             }),
@@ -1026,7 +1022,7 @@ mod tests {
         let mut ep = endpoint(VendorStack::Windows, ServiceTable::typical(10));
         let out = ep.handle_frame(&signaling_frame(
             Identifier(5),
-            Command::DisconnectionRequest(DisconnectionRequest {
+            &Command::DisconnectionRequest(DisconnectionRequest {
                 dcid: Cid(0x0999),
                 scid: Cid(0x0998),
             }),
@@ -1047,7 +1043,7 @@ mod tests {
         // Configure Request with a DCID the device never allocated.
         let out = ep.handle_frame(&signaling_frame(
             Identifier(2),
-            Command::ConfigureRequest(ConfigureRequest {
+            &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x7B8F),
                 flags: 0,
                 options: Vec::new(),
@@ -1133,7 +1129,7 @@ mod tests {
         assert!(out.triggered.is_none());
         let out = ep.handle_frame(&signaling_frame(
             Identifier(2),
-            Command::ConfigureRequest(ConfigureRequest {
+            &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x0040),
                 flags: 0,
                 options: vec![ConfigOption::Mtu(672)],
@@ -1176,7 +1172,7 @@ mod tests {
     fn le_connect_frame(spsm: u16, scid: u16, id: u8) -> L2capFrame {
         signaling_frame(
             Identifier(id),
-            Command::LeCreditBasedConnectionRequest(
+            &Command::LeCreditBasedConnectionRequest(
                 l2cap::command::LeCreditBasedConnectionRequest {
                     spsm,
                     scid: Cid(scid),
@@ -1232,7 +1228,7 @@ mod tests {
         let scids: Vec<Cid> = (0x0040..0x0045).map(Cid).collect();
         let out = ep.handle_frame(&signaling_frame(
             Identifier(1),
-            Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
+            &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
                 mtu: 247,
                 mps: 64,
@@ -1252,11 +1248,13 @@ mod tests {
         };
         let out = ep.handle_frame(&signaling_frame(
             Identifier(2),
-            Command::CreditBasedReconfigureRequest(l2cap::command::CreditBasedReconfigureRequest {
-                mtu: 1024,
-                mps: 128,
-                dcids,
-            }),
+            &Command::CreditBasedReconfigureRequest(
+                l2cap::command::CreditBasedReconfigureRequest {
+                    mtu: 1024,
+                    mps: 128,
+                    dcids,
+                },
+            ),
         ));
         match &first_command(&out.responses)[0] {
             Command::CreditBasedReconfigureResponse(rsp) => assert_eq!(rsp.result, 0),
@@ -1280,7 +1278,7 @@ mod tests {
         // An enhanced request repeating an SCID within itself: same refusal.
         let out = ep.handle_frame(&signaling_frame(
             Identifier(3),
-            Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
+            &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
                 mtu: 247,
                 mps: 64,
@@ -1303,7 +1301,7 @@ mod tests {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
         let out = ep.handle_frame(&signaling_frame(
             Identifier(1),
-            Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
+            &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
                 mtu: 247,
                 mps: 64,
@@ -1331,7 +1329,7 @@ mod tests {
         let grant = |credits: u16, id: u8| {
             signaling_frame(
                 Identifier(id),
-                Command::FlowControlCreditInd(l2cap::command::FlowControlCreditInd {
+                &Command::FlowControlCreditInd(l2cap::command::FlowControlCreditInd {
                     cid: Cid(0x0040),
                     credits,
                 }),
@@ -1354,11 +1352,11 @@ mod tests {
             connect_frame(Psm::SDP, 0x0040, 1),
             signaling_frame(
                 Identifier(2),
-                Command::EchoRequest(EchoRequest { data: vec![1] }),
+                &Command::EchoRequest(EchoRequest { data: vec![1] }),
             ),
             signaling_frame(
                 Identifier(3),
-                Command::ConfigureRequest(ConfigureRequest {
+                &Command::ConfigureRequest(ConfigureRequest {
                     dcid: Cid(0x0040),
                     flags: 0,
                     options: vec![],
@@ -1382,7 +1380,7 @@ mod tests {
         ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
         let out = ep.handle_frame(&signaling_frame(
             Identifier(4),
-            Command::MoveChannelRequest(l2cap::command::MoveChannelRequest {
+            &Command::MoveChannelRequest(l2cap::command::MoveChannelRequest {
                 icid: Cid(0x0040),
                 dest_controller_id: 1,
             }),

@@ -1211,7 +1211,7 @@ mod tests {
         // The link is live: a ping crosses the air and lands in the trace.
         let frame = l2cap::packet::signaling_frame(
             btcore::Identifier(1),
-            l2cap::command::Command::EchoRequest(l2cap::command::EchoRequest { data: vec![1] }),
+            &l2cap::command::Command::EchoRequest(l2cap::command::EchoRequest { data: vec![1] }),
         );
         let responses = env.link.send_frame(&frame);
         assert!(!responses.is_empty());

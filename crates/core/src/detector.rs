@@ -9,8 +9,9 @@
 
 use btcore::{ConnectionError, Identifier, LinkType, PingOutcome, TargetOracle};
 use hci::medium::LinkHandle;
+use l2cap::code::CommandCode;
 use l2cap::command::{Command, ConnectionParameterUpdateRequest, EchoRequest};
-use l2cap::packet::parse_signaling;
+use l2cap::packet::{parse_signaling, signaling_frame};
 use serde::{Deserialize, Serialize};
 
 use crate::retry::RetryPolicy;
@@ -73,23 +74,22 @@ impl DetectionVerdict {
 }
 
 /// The vulnerability detector.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VulnerabilityDetector {
     next_ping_id: u8,
     pings_sent: u64,
-    le: bool,
+    /// The liveness probe, built once and re-encoded under each ping's
+    /// identifier.
+    probe: Command,
+    /// The code of the probe's answer.
+    expected_code: CommandCode,
     retry: RetryPolicy,
 }
 
 impl VulnerabilityDetector {
     /// Creates a detector for a classic BR/EDR target.
     pub fn new() -> Self {
-        VulnerabilityDetector {
-            next_ping_id: 0x70,
-            pings_sent: 0,
-            le: false,
-            retry: RetryPolicy::none(),
-        }
+        VulnerabilityDetector::new_on(LinkType::BrEdr)
     }
 
     /// Creates a detector for a target on the given link type.  On an LE
@@ -97,9 +97,30 @@ impl VulnerabilityDetector {
     /// Connection Parameter Update Request, which every LE acceptor
     /// answers.
     pub fn new_on(link: LinkType) -> Self {
+        let (probe, expected_code) = if link == LinkType::Le {
+            (
+                Command::ConnectionParameterUpdateRequest(ConnectionParameterUpdateRequest {
+                    interval_min: 6,
+                    interval_max: 12,
+                    latency: 0,
+                    timeout: 200,
+                }),
+                CommandCode::ConnectionParameterUpdateResponse,
+            )
+        } else {
+            (
+                Command::EchoRequest(EchoRequest {
+                    data: vec![0x4C, 0x32],
+                }),
+                CommandCode::EchoResponse,
+            )
+        };
         VulnerabilityDetector {
-            le: link == LinkType::Le,
-            ..VulnerabilityDetector::new()
+            next_ping_id: 0x70,
+            pings_sent: 0,
+            probe,
+            expected_code,
+            retry: RetryPolicy::none(),
         }
     }
 
@@ -125,31 +146,12 @@ impl VulnerabilityDetector {
             self.next_ping_id + 1
         };
         self.pings_sent += 1;
-        let (probe, expected_code) = if self.le {
-            (
-                Command::ConnectionParameterUpdateRequest(ConnectionParameterUpdateRequest {
-                    interval_min: 6,
-                    interval_max: 12,
-                    latency: 0,
-                    timeout: 200,
-                }),
-                l2cap::code::CommandCode::ConnectionParameterUpdateResponse,
-            )
-        } else {
-            (
-                Command::EchoRequest(EchoRequest {
-                    data: vec![0x4C, 0x32],
-                }),
-                l2cap::code::CommandCode::EchoResponse,
-            )
-        };
-        let frame =
-            l2cap::packet::signaling_frame_in(link.arena(), Identifier(self.next_ping_id), &probe);
+        let frame = signaling_frame(Identifier(self.next_ping_id), &self.probe);
         let responses = link.send_frame(&frame);
         // The answer is identified by its code byte alone.
         responses.iter().any(|f| {
             parse_signaling(f)
-                .map(|p| p.code == expected_code.value())
+                .map(|p| p.code == self.expected_code.value())
                 .unwrap_or(false)
         })
     }
@@ -211,6 +213,12 @@ impl VulnerabilityDetector {
     }
 }
 
+impl Default for VulnerabilityDetector {
+    fn default() -> Self {
+        VulnerabilityDetector::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +229,6 @@ mod tests {
     use hci::link::LinkConfig;
     use hci::medium::{EventMedium, LinkHandle, Medium};
     use l2cap::command::ConnectionRequest;
-    use l2cap::packet::signaling_frame;
     use l2cap::packet::SignalingPacket;
 
     fn setup(id: ProfileId) -> (SharedSimulatedDevice, LinkHandle) {
@@ -276,7 +283,7 @@ mod tests {
         // seeded DoS fires (hit probability is < 1, so repeat).
         let connect = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0040),
             }),
@@ -322,7 +329,7 @@ mod tests {
             }
             let frame = signaling_frame(
                 Identifier((i % 250 + 1) as u8),
-                Command::ConnectionRequest(ConnectionRequest {
+                &Command::ConnectionRequest(ConnectionRequest {
                     psm: Psm(0x0101),
                     scid: Cid(0x0040 + i),
                 }),

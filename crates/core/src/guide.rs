@@ -125,14 +125,10 @@ impl StateGuide {
     fn send(&mut self, link: &mut LinkHandle, command: Command) -> Vec<Command> {
         let id = self.next_identifier();
         self.transition_packets_sent += 1;
-        link.send_frame(&l2cap::packet::signaling_frame_in(
-            link.arena(),
-            id,
-            &command,
-        ))
-        .iter()
-        .filter_map(|f| parse_signaling(f).ok().map(|p| p.command()))
-        .collect()
+        link.send_frame(&l2cap::packet::signaling_frame(id, &command))
+            .iter()
+            .filter_map(|f| parse_signaling(f).ok().map(|p| p.command()))
+            .collect()
     }
 
     /// Opens a channel on `psm`, via Connection Request or (for the creation

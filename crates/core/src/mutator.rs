@@ -9,7 +9,7 @@
 //! garbage tail is appended without updating the dependent length fields —
 //! exactly the mutation of the paper's Fig. 7 example.
 
-use btcore::{FrameArena, FuzzRng, Identifier, LinkType};
+use btcore::{FrameBuf, FuzzRng, Identifier, LinkType};
 use l2cap::code::CommandCode;
 use l2cap::fields::{self, FieldClass, FieldName};
 use l2cap::packet::SignalingPacket;
@@ -19,15 +19,12 @@ use crate::guide::ChannelContext;
 
 /// The core-field mutator.
 ///
-/// Packets are mutated in place inside buffers checked out of the mutator's
-/// [`FrameArena`]: once a generated packet has been transmitted and dropped,
-/// its buffer returns to the arena and backs a later mutation, so a
-/// steady-state campaign performs no per-packet backing-store allocation
-/// here.
+/// Packets are mutated in place inside the frame builder's reused scratch
+/// buffer ([`FrameBuf::build`]) and copied out once, so a steady-state
+/// campaign performs no per-packet allocation here.
 #[derive(Debug)]
 pub struct CoreFieldMutator {
     rng: FuzzRng,
-    arena: FrameArena,
     core_fields_only: bool,
     append_garbage: bool,
     max_garbage_len: usize,
@@ -47,7 +44,6 @@ impl CoreFieldMutator {
     pub fn new(rng: FuzzRng) -> Self {
         CoreFieldMutator {
             rng,
-            arena: FrameArena::new(),
             core_fields_only: true,
             append_garbage: true,
             max_garbage_len: 16,
@@ -84,11 +80,6 @@ impl CoreFieldMutator {
         self.mutate_config_options = enabled;
     }
 
-    /// The arena recycling this mutator's packet buffers.
-    pub fn arena(&self) -> &FrameArena {
-        &self.arena
-    }
-
     /// Builds one malformed packet for `code` in the given channel context
     /// (Algorithm 1, inner loop body).
     pub fn mutate(
@@ -97,13 +88,23 @@ impl CoreFieldMutator {
         ctx: &ChannelContext,
         identifier: Identifier,
     ) -> SignalingPacket {
+        packet_from_wire(FrameBuf::build(|buf| {
+            self.write_mutation(buf, code, ctx, identifier)
+        }))
+    }
+
+    /// Writes the full C-frame of one mutated packet into `buf` (handed over
+    /// empty): four zero header bytes patched at the end, then the data
+    /// fields.  Keeping the wire form contiguous lets `to_frame` later
+    /// re-frame the packet without encoding it again.
+    fn write_mutation(
+        &mut self,
+        buf: &mut Vec<u8>,
+        code: CommandCode,
+        ctx: &ChannelContext,
+        identifier: Identifier,
+    ) {
         let spec_len = fields::min_data_len(code);
-        // The packet is mutated in place inside one arena buffer holding the
-        // full C-frame: four (initially zero) header bytes patched at the
-        // end, then the data fields.  Keeping the wire form contiguous lets
-        // `to_frame` later re-frame the packet without copying a byte.
-        // Checked-out buffers come back cleared, so this resize zero-fills.
-        let mut buf = self.arena.checkout();
         buf.resize(4 + spec_len, 0);
         {
             let data = &mut buf[4..];
@@ -216,16 +217,10 @@ impl CoreFieldMutator {
         };
 
         // Patch the C-frame header so the buffer holds the complete wire
-        // form; the packet's data field is a zero-copy view past it.
+        // form; the packet's data field will be a view past it.
         buf[0] = code.value();
         buf[1] = identifier.value();
         buf[2..4].copy_from_slice(&declared_data_len.to_le_bytes());
-        SignalingPacket {
-            identifier,
-            code: code.value(),
-            declared_data_len,
-            data: buf.freeze().slice(4..),
-        }
     }
 
     /// Generates `n` malformed packets for every command in `commands`
@@ -260,12 +255,10 @@ impl CoreFieldMutator {
         ctx: &ChannelContext,
         identifier: Identifier,
     ) -> SignalingPacket {
-        let mut buf = self.arena.checkout();
-        buf.extend_from_slice(wire);
-        if buf.len() < 4 {
-            buf.resize(4, 0);
-        }
-        if let Some(code) = CommandCode::from_u8(buf[0]) {
+        rebuild_wire(wire, identifier, |buf| {
+            let Some(code) = CommandCode::from_u8(buf[0]) else {
+                return;
+            };
             let data = &mut buf[4..];
             for spec in fields::data_field_layout(code) {
                 let Some(width) = spec.len else { continue };
@@ -292,8 +285,7 @@ impl CoreFieldMutator {
                     }
                 }
             }
-        }
-        self.finish_wire(buf, identifier)
+        })
     }
 
     /// Corpus havoc: stacks one to three structure-blind edits (corrupt a
@@ -302,32 +294,28 @@ impl CoreFieldMutator {
     /// retained, so edits that change the physical length produce the
     /// length-inconsistent shapes real parsers trip over.
     pub fn havoc(&mut self, wire: &[u8], identifier: Identifier) -> SignalingPacket {
-        let mut buf = self.arena.checkout();
-        buf.extend_from_slice(wire);
-        if buf.len() < 4 {
-            buf.resize(4, 0);
-        }
-        let edits = self.rng.range_usize(1, 3);
-        for _ in 0..edits {
-            match self.rng.range_usize(0, 2) {
-                0 if buf.len() > 4 => {
-                    let pos = self.rng.range_usize(4, buf.len() - 1);
-                    let flip = self.rng.next_u8();
-                    buf[pos] ^= flip;
-                }
-                1 if buf.len() > 5 => {
-                    let keep = self.rng.range_usize(5, buf.len() - 1);
-                    buf.truncate(keep);
-                }
-                _ => {
-                    let extra = self.rng.range_usize(1, self.max_garbage_len.max(1));
-                    let start = buf.len();
-                    buf.resize(start + extra, 0);
-                    self.rng.fill_bytes(&mut buf[start..]);
+        rebuild_wire(wire, identifier, |buf| {
+            let edits = self.rng.range_usize(1, 3);
+            for _ in 0..edits {
+                match self.rng.range_usize(0, 2) {
+                    0 if buf.len() > 4 => {
+                        let pos = self.rng.range_usize(4, buf.len() - 1);
+                        let flip = self.rng.next_u8();
+                        buf[pos] ^= flip;
+                    }
+                    1 if buf.len() > 5 => {
+                        let keep = self.rng.range_usize(5, buf.len() - 1);
+                        buf.truncate(keep);
+                    }
+                    _ => {
+                        let extra = self.rng.range_usize(1, self.max_garbage_len.max(1));
+                        let start = buf.len();
+                        buf.resize(start + extra, 0);
+                        self.rng.fill_bytes(&mut buf[start..]);
+                    }
                 }
             }
-        }
-        self.finish_wire(buf, identifier)
+        })
     }
 
     /// Corpus splice: the head of `a`'s data glued to the tail of `b`'s
@@ -335,36 +323,14 @@ impl CoreFieldMutator {
     /// two packets that each reached something keeps both halves'
     /// interesting bytes in play.
     pub fn splice(&mut self, a: &[u8], b: &[u8], identifier: Identifier) -> SignalingPacket {
-        let mut buf = self.arena.checkout();
-        buf.extend_from_slice(&a[..a.len().min(4)]);
-        if buf.len() < 4 {
-            buf.resize(4, 0);
-        }
-        let data_a = if a.len() > 4 { &a[4..] } else { &[][..] };
-        let data_b = if b.len() > 4 { &b[4..] } else { &[][..] };
-        let cut_a = self.rng.range_usize(0, data_a.len());
-        let cut_b = self.rng.range_usize(0, data_b.len());
-        buf.extend_from_slice(&data_a[..cut_a]);
-        buf.extend_from_slice(&data_b[cut_b..]);
-        self.finish_wire(buf, identifier)
-    }
-
-    /// Stamps the fresh identifier into a rebuilt wire buffer and freezes it
-    /// into a packet (the shared tail of the three corpus operators).
-    fn finish_wire(
-        &mut self,
-        mut buf: btcore::FrameBufMut,
-        identifier: Identifier,
-    ) -> SignalingPacket {
-        buf[1] = identifier.value();
-        let code = buf[0];
-        let declared_data_len = u16::from_le_bytes([buf[2], buf[3]]);
-        SignalingPacket {
-            identifier,
-            code,
-            declared_data_len,
-            data: buf.freeze().slice(4..),
-        }
+        rebuild_wire(&a[..a.len().min(4)], identifier, |buf| {
+            let data_a = if a.len() > 4 { &a[4..] } else { &[][..] };
+            let data_b = if b.len() > 4 { &b[4..] } else { &[][..] };
+            let cut_a = self.rng.range_usize(0, data_a.len());
+            let cut_b = self.rng.range_usize(0, data_b.len());
+            buf.extend_from_slice(&data_a[..cut_a]);
+            buf.extend_from_slice(&data_b[cut_b..]);
+        })
     }
 
     /// Reproduces the paper's Fig. 7 worked example: the original, well-formed
@@ -387,6 +353,35 @@ impl CoreFieldMutator {
             .into(),
         };
         (original, mutated)
+    }
+}
+
+/// Rebuilds a retained wire form: `head` padded to a full C-frame header,
+/// then `edit`, then the fresh identifier stamped in (the steps the three
+/// corpus operators share).
+fn rebuild_wire(
+    head: &[u8],
+    identifier: Identifier,
+    edit: impl FnOnce(&mut Vec<u8>),
+) -> SignalingPacket {
+    packet_from_wire(FrameBuf::build(|buf| {
+        buf.extend_from_slice(head);
+        if buf.len() < 4 {
+            buf.resize(4, 0);
+        }
+        edit(buf);
+        buf[1] = identifier.value();
+    }))
+}
+
+/// Wraps a finished C-frame wire form (at least four bytes) into a packet
+/// whose data field is a view past the header.
+fn packet_from_wire(wire: FrameBuf) -> SignalingPacket {
+    SignalingPacket {
+        identifier: Identifier(wire[1]),
+        code: wire[0],
+        declared_data_len: u16::from_le_bytes([wire[2], wire[3]]),
+        data: wire.slice(4..),
     }
 }
 

@@ -104,16 +104,16 @@ impl PacketQueue {
 
     /// Sends one packet over the link and assembles its outcome.  This is the
     /// single transmission path both [`PacketQueue::flush`] and
-    /// [`PacketQueue::send_now`] go through: the packet is framed into a
-    /// buffer checked out of the link's arena (no backing-store allocation in
-    /// steady state) and moved — not cloned — into the outcome.
+    /// [`PacketQueue::send_now`] go through: the packet is framed (for a
+    /// small frame, without allocating) and moved — not cloned — into the
+    /// outcome.
     fn transmit_one(
         sent: &mut u64,
         link: &mut LinkHandle,
         packet: SignalingPacket,
         kind: PacketKind,
     ) -> SendOutcome {
-        let frame = packet.to_frame_in(link.arena());
+        let frame = packet.to_frame();
         let frames = link.send_frame(&frame);
         *sent += 1;
         let responses: Vec<Command> = frames
@@ -135,9 +135,8 @@ impl PacketQueue {
     /// Convenience: send one packet immediately, bypassing the queue (any
     /// packets still queued are flushed first, preserving order).
     ///
-    /// Takes the packet by reference — cloning a [`SignalingPacket`] only
-    /// bumps the data buffer's reference count, so the caller keeps its copy
-    /// without a per-send byte copy.
+    /// Takes the packet by reference — cloning a [`SignalingPacket`] never
+    /// allocates, so the caller keeps its copy for free.
     pub fn send_now(
         &mut self,
         link: &mut LinkHandle,

@@ -172,8 +172,7 @@ impl TargetScanner {
     fn probe_le_port(&mut self, link: &mut LinkHandle, spsm: Psm) -> PortStatus {
         let scid = Cid(self.next_scid);
         self.next_scid += 1;
-        let frame = l2cap::packet::signaling_frame_in(
-            link.arena(),
+        let frame = l2cap::packet::signaling_frame(
             Identifier(1),
             &Command::LeCreditBasedConnectionRequest(LeCreditBasedConnectionRequest {
                 spsm: spsm.value(),
@@ -203,8 +202,7 @@ impl TargetScanner {
             }
         }
         if let Some(dcid) = allocated_dcid {
-            let frame = l2cap::packet::signaling_frame_in(
-                link.arena(),
+            let frame = l2cap::packet::signaling_frame(
                 Identifier(2),
                 &Command::DisconnectionRequest(DisconnectionRequest { dcid, scid }),
             );
@@ -216,8 +214,7 @@ impl TargetScanner {
     fn probe_port(&mut self, link: &mut LinkHandle, psm: Psm) -> PortStatus {
         let scid = Cid(self.next_scid);
         self.next_scid += 1;
-        let frame = l2cap::packet::signaling_frame_in(
-            link.arena(),
+        let frame = l2cap::packet::signaling_frame(
             Identifier(1),
             &Command::ConnectionRequest(ConnectionRequest { psm, scid }),
         );
@@ -244,8 +241,7 @@ impl TargetScanner {
         }
         // Tear the probe connection down again.
         if let Some(dcid) = allocated_dcid {
-            let frame = l2cap::packet::signaling_frame_in(
-                link.arena(),
+            let frame = l2cap::packet::signaling_frame(
                 Identifier(2),
                 &Command::DisconnectionRequest(DisconnectionRequest { dcid, scid }),
             );
@@ -340,7 +336,7 @@ mod tests {
         assert_eq!(shared.lock().status(), btstack::device::HostStatus::Running);
         let frame = signaling_frame(
             Identifier(5),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0100),
             }),

@@ -56,8 +56,8 @@ impl BoundaryFlag {
 /// One HCI ACL data packet.
 ///
 /// The carried bytes are a [`FrameBuf`] view: a packet produced by
-/// [`fragment`] shares the parent frame's buffer instead of owning a copy of
-/// its chunk.
+/// [`fragment`] slices its chunk out of the parent frame's buffer, sharing
+/// the allocation of a frame too large to be held inline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AclPacket {
     /// Connection handle identifying the baseband link.
@@ -127,8 +127,9 @@ impl AclPacket {
 /// Splits an L2CAP frame's bytes into ACL fragments of at most
 /// [`ACL_FRAGMENT_SIZE`] bytes each.
 ///
-/// Every fragment's data is a zero-copy slice of `l2cap_bytes` — no payload
-/// byte is duplicated, regardless of the fragment count.
+/// Every fragment's data is a slice of `l2cap_bytes`.  The fragments of a
+/// frame above the inline capacity share its allocation, so no payload byte
+/// is duplicated, regardless of the fragment count.
 pub fn fragment(handle: ConnectionHandle, l2cap_bytes: &FrameBuf) -> Vec<AclPacket> {
     if l2cap_bytes.is_empty() {
         return vec![AclPacket {
@@ -155,9 +156,9 @@ pub fn fragment(handle: ConnectionHandle, l2cap_bytes: &FrameBuf) -> Vec<AclPack
 
 /// Reassembles a sequence of ACL fragments back into the L2CAP frame bytes.
 ///
-/// A single-fragment sequence reassembles without copying: the result shares
-/// the fragment's buffer.  Multi-fragment sequences perform exactly one copy,
-/// concatenating the chunks into a fresh buffer.
+/// A single-fragment sequence reassembles into the fragment's own buffer
+/// (shared, when it is above the inline capacity).  Multi-fragment sequences
+/// concatenate the chunks into one fresh buffer.
 ///
 /// # Errors
 /// Returns a [`CodecError`] if the sequence is empty, does not start with a
@@ -184,11 +185,11 @@ pub fn reassemble(packets: &[AclPacket]) -> Result<FrameBuf, CodecError> {
     if packets.len() == 1 {
         return Ok(first.data.clone());
     }
-    let mut out = Vec::with_capacity(packets.iter().map(|p| p.data.len()).sum());
-    for p in packets {
-        out.extend_from_slice(&p.data);
-    }
-    Ok(FrameBuf::from_vec(out))
+    Ok(FrameBuf::build(|out| {
+        for p in packets {
+            out.extend_from_slice(&p.data);
+        }
+    }))
 }
 
 #[cfg(test)]

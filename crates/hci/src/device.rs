@@ -34,9 +34,8 @@ pub trait VirtualDevice: Send {
     /// Processes one inbound L2CAP frame arriving on `slot` and returns the
     /// frames the device sends back, in order.
     ///
-    /// The frame is a borrowed view: its payload buffer is shared with the
-    /// transmitting link (and any attached taps), so a device that wants to
-    /// keep the bytes clones the frame — a reference-count bump, not a copy.
+    /// The frame is borrowed from the transmitting link; a device that wants
+    /// to keep the bytes clones the frame, which never allocates.
     fn receive(&mut self, slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame>;
 
     /// Whether the device's Bluetooth service is still running (a device

@@ -22,7 +22,7 @@
 
 use btcore::{
     splitmix64, BdAddr, BtError, ConnectionError, ConnectionHandle, DeviceMeta, EventScheduler,
-    FrameArena, FuzzRng, LinkSlot, LinkType, SimClock, SourceId,
+    FrameBuf, FuzzRng, LinkSlot, LinkType, SimClock, SourceId,
 };
 use l2cap::packet::L2capFrame;
 use parking_lot::Mutex;
@@ -264,7 +264,6 @@ impl Medium for EventMedium {
             handle,
             frames_sent: 0,
             frames_received: 0,
-            arena: FrameArena::new(),
             retired: Arc::new(AtomicBool::new(false)),
             deadline_micros,
             stalled_until: 0,
@@ -292,11 +291,6 @@ pub struct LinkHandle {
     handle: ConnectionHandle,
     frames_sent: u64,
     frames_received: u64,
-    /// Per-link buffer arena: serialization buffers checked out here return
-    /// to the pool once the frame — and every tap record sharing its payload
-    /// — has been dropped, so steady-state transmission does not allocate
-    /// fresh backing stores.
-    arena: FrameArena,
     /// Shared with every [`EventGate`] and [`RetireGuard`] of this link, so
     /// whichever party retires first, all of them observe it.
     retired: Arc<AtomicBool>,
@@ -393,13 +387,6 @@ impl LinkHandle {
     /// out-of-band oracle, e.g. crash-dump collection).
     pub fn device(&self) -> SharedDevice {
         self.device.clone()
-    }
-
-    /// The link's frame-buffer arena.  Encoders feeding this link (the packet
-    /// queue, hand-driven flows) check their payload buffers out of it so the
-    /// buffers recycle once each exchange completes.
-    pub fn arena(&self) -> &FrameArena {
-        &self.arena
     }
 
     /// Retires this link as an event source: it stops holding concurrent
@@ -555,15 +542,13 @@ impl LinkHandle {
         // serialized form is the identity: the device is handed a borrowed
         // view of the original frame and no byte is serialized or copied.
         // Larger frames go through the full ACL fragmentation/reassembly
-        // path — zero-copy fragments sliced from one arena buffer —
+        // path — zero-copy fragments sliced from one shared buffer —
         // exercising the same code a real controller buffer would.
         let reassembled;
         let delivered_frame = if fragment_count == 1 {
             frame
         } else {
-            let mut wire = self.arena.checkout();
-            frame.encode_into(&mut wire);
-            let wire = wire.freeze();
+            let wire = FrameBuf::build(|out| frame.encode_into(out));
             let fragments = acl::fragment(self.handle, &wire);
             match acl::reassemble(&fragments).and_then(|bytes| L2capFrame::parse_buf(&bytes)) {
                 Ok(f) => {

@@ -400,7 +400,7 @@ impl Command {
 
     /// Appends the command's data fields to `out` (which is *not* cleared) —
     /// the allocation-free encoding path shared by [`Command::encode_data`]
-    /// and the arena-backed frame builders.
+    /// and the frame builders.
     pub fn encode_data_into(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::wrap(std::mem::take(out));
         match self {

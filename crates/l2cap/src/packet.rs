@@ -12,7 +12,7 @@
 //! malformed packet routinely declares less data than it carries.  The codec
 //! must be able to represent, emit and re-parse such packets byte-exactly.
 
-use btcore::{ByteReader, Cid, CodecError, FrameArena, FrameBuf, Identifier};
+use btcore::{ByteReader, Cid, CodecError, FrameBuf, Identifier};
 use serde::{Deserialize, Serialize};
 
 use crate::command::Command;
@@ -31,9 +31,9 @@ pub const MAX_PAYLOAD_LEN: usize = 65_535;
 /// payload bytes actually present.
 ///
 /// The payload is a [`FrameBuf`]: cloning a frame (for a tap record, a queue
-/// outcome or a response fan-out) shares the payload bytes instead of copying
-/// them, and [`L2capFrame::parse_buf`] yields a payload that is a zero-copy
-/// view into the parsed buffer.
+/// outcome or a response fan-out) never allocates, and
+/// [`L2capFrame::parse_buf`] yields a payload that is a view into the parsed
+/// buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct L2capFrame {
     /// The `PAYLOAD LEN` field as transmitted (may disagree with
@@ -100,9 +100,9 @@ impl L2capFrame {
         })
     }
 
-    /// Zero-copy variant of [`L2capFrame::parse`]: the returned frame's
-    /// payload is a shared view into `bytes` — no payload byte is copied.
-    /// The two parse paths are byte-for-byte equivalent on every input.
+    /// View variant of [`L2capFrame::parse`]: the returned frame's payload
+    /// is a slice of `bytes` (sharing its allocation when it has one).  The
+    /// two parse paths are byte-for-byte equivalent on every input.
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than four header bytes
@@ -128,8 +128,8 @@ impl L2capFrame {
 /// length and the data-field bytes actually carried.
 ///
 /// Like [`L2capFrame::payload`], the data field is a [`FrameBuf`], so cloning
-/// a packet — e.g. into a queue outcome — shares the bytes instead of copying
-/// them, and [`SignalingPacket::parse_buf`] borrows them from the parsed
+/// a packet — e.g. into a queue outcome — never allocates, and
+/// [`SignalingPacket::parse_buf`] takes the data as a view into the parsed
 /// frame.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SignalingPacket {
@@ -144,14 +144,15 @@ pub struct SignalingPacket {
 }
 
 impl SignalingPacket {
-    /// Builds a well-formed signalling packet for `command`.
+    /// Builds a well-formed signalling packet for `command`.  Its data is a
+    /// view into the encoded C-frame, so framing it needs no second encoding.
     pub fn new(identifier: Identifier, command: Command) -> Self {
-        let data = command.encode_data();
+        let wire = encode_c_frame(identifier, &command);
         SignalingPacket {
             identifier,
             code: command.code_byte(),
-            declared_data_len: data.len() as u16,
-            data: data.into(),
+            declared_data_len: (wire.len() - 4) as u16,
+            data: wire.slice(4..),
         }
     }
 
@@ -237,9 +238,10 @@ impl SignalingPacket {
         })
     }
 
-    /// Zero-copy variant of [`SignalingPacket::parse`]: the returned packet's
-    /// data field is a shared view into `bytes` — no data byte is copied.
-    /// The two parse paths are byte-for-byte equivalent on every input.
+    /// View variant of [`SignalingPacket::parse`]: the returned packet's
+    /// data field is a slice of `bytes`, so re-framing it can widen the view
+    /// back to the whole C-frame.  The two parse paths are byte-for-byte
+    /// equivalent on every input.
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than four header bytes
@@ -266,10 +268,11 @@ impl SignalingPacket {
     /// When this packet's data is a slice four bytes into a buffer whose
     /// preceding bytes are exactly the C-frame header the current field
     /// values encode to, returns that whole buffer: re-framing is then a
-    /// zero-copy widening of the data view.  This holds for every packet
-    /// produced by [`SignalingPacket::parse_buf`] / [`parse_signaling`] and
-    /// for mutator output, unless a field was modified afterwards (the header
-    /// comparison catches that and the caller falls back to encoding).
+    /// widening of the data view, with no encoding.  This holds for every
+    /// packet produced by [`SignalingPacket::new`],
+    /// [`SignalingPacket::parse_buf`] / [`parse_signaling`] and for mutator
+    /// output, unless a field was modified afterwards (the header comparison
+    /// catches that and the caller falls back to encoding).
     fn cached_wire(&self) -> Option<FrameBuf> {
         let whole = self.data.widen_front(4)?;
         let header = &whole[..4];
@@ -280,29 +283,15 @@ impl SignalingPacket {
     }
 
     /// Borrowing variant of [`SignalingPacket::into_frame`]: builds the frame
-    /// without consuming (or cloning) the packet — and without copying any
-    /// byte when the packet still carries its wire form (see
-    /// [`SignalingPacket::parse_buf`]).
+    /// without consuming the packet, and without encoding it again when the
+    /// packet still carries its wire form (see [`SignalingPacket::parse_buf`]).
+    /// This is the transmit hot path; it never allocates for a frame that
+    /// fits inline.
     pub fn to_frame(&self) -> L2capFrame {
-        match self.cached_wire() {
-            Some(wire) => L2capFrame::new(Cid::SIGNALING, wire),
-            None => L2capFrame::new(Cid::SIGNALING, self.to_bytes()),
-        }
-    }
-
-    /// Arena-backed variant of [`SignalingPacket::to_frame`]: the frame's
-    /// payload is encoded into a buffer checked out of `arena`, which returns
-    /// to the arena's pool when the frame (and every tap record sharing its
-    /// payload) is dropped.  This is the transmit hot path — steady state, it
-    /// performs no backing-store allocation (and none at all when the packet
-    /// still carries its wire form).
-    pub fn to_frame_in(&self, arena: &FrameArena) -> L2capFrame {
-        if let Some(wire) = self.cached_wire() {
-            return L2capFrame::new(Cid::SIGNALING, wire);
-        }
-        let mut buf = arena.checkout();
-        self.encode_into(&mut buf);
-        L2capFrame::new(Cid::SIGNALING, buf.freeze())
+        let wire = self
+            .cached_wire()
+            .unwrap_or_else(|| FrameBuf::build(|out| self.encode_into(out)));
+        L2capFrame::new(Cid::SIGNALING, wire)
     }
 
     /// Total number of bytes the C-frame occupies within the L2CAP payload.
@@ -311,34 +300,28 @@ impl SignalingPacket {
     }
 }
 
-/// Convenience: builds the full signalling frame for a command in one call.
-pub fn signaling_frame(identifier: Identifier, command: Command) -> L2capFrame {
-    SignalingPacket::new(identifier, command).into_frame()
+/// Builds the full signalling frame for a command in one call, skipping the
+/// intermediate [`SignalingPacket`].
+pub fn signaling_frame(identifier: Identifier, command: &Command) -> L2capFrame {
+    L2capFrame::new(Cid::SIGNALING, encode_c_frame(identifier, command))
 }
 
-/// Arena-backed variant of [`signaling_frame`]: encodes the whole C-frame —
-/// code, identifier, data length, data fields — directly into one buffer
-/// checked out of `arena`, skipping the intermediate [`SignalingPacket`] and
-/// its owned data vector.  Steady state this allocates only the frame's
-/// shared handle.  Produces bit-identical frames to [`signaling_frame`].
-pub fn signaling_frame_in(
-    arena: &FrameArena,
-    identifier: Identifier,
-    command: &Command,
-) -> L2capFrame {
-    let mut buf = arena.checkout();
-    buf.push(command.code_byte());
-    buf.push(identifier.value());
-    buf.extend_from_slice(&[0, 0]); // DATA LEN, patched once the length is known.
-    command.encode_data_into(&mut buf);
-    let data_len = (buf.len() - 4) as u16;
-    buf[2..4].copy_from_slice(&data_len.to_le_bytes());
-    L2capFrame::new(Cid::SIGNALING, buf.freeze())
+/// Encodes the whole C-frame — code, identifier, data length, data fields —
+/// in one pass through the frame builder's scratch buffer.
+fn encode_c_frame(identifier: Identifier, command: &Command) -> FrameBuf {
+    FrameBuf::build(|buf| {
+        buf.push(command.code_byte());
+        buf.push(identifier.value());
+        buf.extend_from_slice(&[0, 0]); // DATA LEN, patched once the length is known.
+        command.encode_data_into(buf);
+        let data_len = (buf.len() - 4) as u16;
+        buf[2..4].copy_from_slice(&data_len.to_le_bytes());
+    })
 }
 
 /// Parses the signalling packet out of an L2CAP frame, if the frame is on the
-/// signalling channel.  The returned packet's data field borrows the frame's
-/// payload buffer — no bytes are copied.
+/// signalling channel.  The returned packet's data field is a slice of the
+/// frame's payload buffer.
 ///
 /// # Errors
 /// Returns a [`CodecError`] if the frame is not on CID `0x0001` or its
@@ -452,7 +435,7 @@ mod tests {
             flags: 0,
             options: vec![ConfigOption::Mtu(672)],
         });
-        let frame = signaling_frame(Identifier(3), cmd.clone());
+        let frame = signaling_frame(Identifier(3), &cmd);
         assert!(frame.is_length_consistent());
         assert!(frame.cid.is_signaling());
         let sig = parse_signaling(&frame).unwrap();
@@ -492,44 +475,45 @@ mod tests {
 
     #[test]
     fn parse_buf_is_zero_copy_and_equivalent_to_parse() {
-        let pkt = SignalingPacket {
-            identifier: Identifier(0x06),
-            code: 0x04,
-            declared_data_len: 0x0008,
-            data: vec![
-                0x8F, 0x7B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD2, 0x3A, 0x91, 0x0E,
-            ]
-            .into(),
-        };
-        let wire = btcore::FrameBuf::from_vec(pkt.to_frame().to_bytes());
-        let owned = L2capFrame::parse(&wire).unwrap();
-        let shared = L2capFrame::parse_buf(&wire).unwrap();
-        assert_eq!(owned, shared);
-        assert!(shared.payload.shares_storage_with(&wire));
-        // The signalling layer borrows from the frame payload in turn.
-        let sig = parse_signaling(&shared).unwrap();
-        assert_eq!(sig, pkt);
-        assert!(sig.data.shares_storage_with(&wire));
+        // The Fig. 7 packet fits inline; the second carries an oversized
+        // garbage tail and lives in a shared allocation.
+        for garbage in [4, FrameBuf::INLINE_CAPACITY] {
+            let mut data = vec![0x8F, 0x7B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00];
+            data.extend((0..garbage).map(|i| 0xD2 ^ i as u8));
+            let pkt = SignalingPacket {
+                identifier: Identifier(0x06),
+                code: 0x04,
+                declared_data_len: 0x0008,
+                data: data.into(),
+            };
+            let wire = FrameBuf::from_vec(pkt.to_frame().to_bytes());
+            let owned = L2capFrame::parse(&wire).unwrap();
+            let shared = L2capFrame::parse_buf(&wire).unwrap();
+            assert_eq!(owned, shared);
+            // The signalling layer slices the frame payload in turn.
+            let sig = parse_signaling(&shared).unwrap();
+            assert_eq!(sig, pkt);
+            let large = wire.len() > FrameBuf::INLINE_CAPACITY;
+            assert_eq!(shared.payload.shares_storage_with(&wire), large);
+            assert_eq!(sig.data.shares_storage_with(&wire), large);
+        }
     }
 
     #[test]
-    fn to_frame_in_reuses_arena_buffers() {
-        let arena = btcore::FrameArena::new();
-        let pkt = SignalingPacket::new(
-            Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
-                psm: Psm::SDP,
-                scid: Cid(0x0040),
-            }),
-        );
-        let frame = pkt.to_frame_in(&arena);
-        assert_eq!(frame, pkt.to_frame());
-        drop(frame);
-        assert_eq!(arena.pooled(), 1);
-        // The recycled buffer backs the next frame.
-        let again = pkt.to_frame_in(&arena);
-        assert_eq!(arena.pooled(), 0);
-        assert_eq!(again, pkt.to_frame());
+    fn new_packets_and_helper_frames_carry_identical_wire_bytes() {
+        let cmd = Command::ConfigureRequest(ConfigureRequest {
+            dcid: Cid(0x0040),
+            flags: 0,
+            options: vec![ConfigOption::Mtu(672)],
+        });
+        let pkt = SignalingPacket::new(Identifier(9), cmd.clone());
+        assert_eq!(pkt.data, cmd.encode_data());
+        assert_eq!(pkt.to_frame(), signaling_frame(Identifier(9), &cmd));
+        assert_eq!(pkt.to_frame().payload, pkt.to_bytes());
+        // A packet edited after construction is encoded afresh.
+        let mut edited = pkt.clone();
+        edited.identifier = Identifier(10);
+        assert_eq!(edited.to_frame().payload, edited.to_bytes());
     }
 
     #[test]

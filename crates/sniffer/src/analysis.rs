@@ -118,7 +118,7 @@ mod tests {
             0,
             signaling_frame(
                 Identifier(1),
-                Command::ConnectionRequest(ConnectionRequest {
+                &Command::ConnectionRequest(ConnectionRequest {
                     psm: Psm::SDP,
                     scid: Cid(0x0040),
                 }),
@@ -129,7 +129,7 @@ mod tests {
             10,
             signaling_frame(
                 Identifier(1),
-                Command::ConnectionResponse(ConnectionResponse {
+                &Command::ConnectionResponse(ConnectionResponse {
                     dcid: Cid(0x0041),
                     scid: Cid(0x0040),
                     result: ConnectionResult::Success,
@@ -152,7 +152,7 @@ mod tests {
                     ts,
                     signaling_frame(
                         Identifier((i % 250 + 1) as u8),
-                        Command::EchoRequest(EchoRequest { data: vec![1] }),
+                        &Command::EchoRequest(EchoRequest { data: vec![1] }),
                     ),
                 )),
                 2 => records.push(record(
@@ -176,7 +176,7 @@ mod tests {
             2000,
             signaling_frame(
                 Identifier(9),
-                Command::DisconnectionRequest(l2cap::command::DisconnectionRequest {
+                &Command::DisconnectionRequest(l2cap::command::DisconnectionRequest {
                     dcid: Cid(0x0041),
                     scid: Cid(0x0040),
                 }),

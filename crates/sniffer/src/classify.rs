@@ -160,7 +160,7 @@ mod tests {
     fn well_formed_packets_are_not_malformed() {
         let frame = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm::SDP,
                 scid: Cid(0x0040),
             }),
@@ -168,14 +168,14 @@ mod tests {
         assert!(!is_malformed(&frame));
         let frame = signaling_frame(
             Identifier(2),
-            Command::EchoRequest(EchoRequest {
+            &Command::EchoRequest(EchoRequest {
                 data: vec![1, 2, 3],
             }),
         );
         assert!(!is_malformed(&frame));
         let frame = signaling_frame(
             Identifier(3),
-            Command::ConfigureRequest(ConfigureRequest {
+            &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x0040),
                 flags: 0,
                 options: vec![],
@@ -199,7 +199,7 @@ mod tests {
     fn abnormal_psm_is_malformed() {
         let frame = signaling_frame(
             Identifier(1),
-            Command::ConnectionRequest(ConnectionRequest {
+            &Command::ConnectionRequest(ConnectionRequest {
                 psm: Psm(0x0101),
                 scid: Cid(0x0040),
             }),
@@ -244,7 +244,7 @@ mod tests {
         // classic link the same bytes are inert application fields.
         let frame = signaling_frame(
             Identifier(1),
-            Command::LeCreditBasedConnectionRequest(LeCreditBasedConnectionRequest {
+            &Command::LeCreditBasedConnectionRequest(LeCreditBasedConnectionRequest {
                 spsm: 0,
                 scid: Cid(0x0040),
                 mtu: 512,
@@ -258,7 +258,7 @@ mod tests {
         // A well-formed LE connect is clean on both.
         let frame = signaling_frame(
             Identifier(2),
-            Command::LeCreditBasedConnectionRequest(LeCreditBasedConnectionRequest {
+            &Command::LeCreditBasedConnectionRequest(LeCreditBasedConnectionRequest {
                 spsm: 0x0080,
                 scid: Cid(0x0040),
                 mtu: 512,
@@ -274,7 +274,7 @@ mod tests {
         use l2cap::command::LeCreditBasedConnectionResponse;
         let refused = signaling_frame(
             Identifier(1),
-            Command::LeCreditBasedConnectionResponse(LeCreditBasedConnectionResponse {
+            &Command::LeCreditBasedConnectionResponse(LeCreditBasedConnectionResponse {
                 dcid: Cid::NULL,
                 mtu: 512,
                 mps: 64,
@@ -285,7 +285,7 @@ mod tests {
         assert!(is_rejection(&refused));
         let accepted = signaling_frame(
             Identifier(2),
-            Command::LeCreditBasedConnectionResponse(LeCreditBasedConnectionResponse {
+            &Command::LeCreditBasedConnectionResponse(LeCreditBasedConnectionResponse {
                 dcid: Cid(0x0041),
                 mtu: 512,
                 mps: 64,
@@ -300,7 +300,7 @@ mod tests {
     fn command_reject_is_a_rejection() {
         let frame = signaling_frame(
             Identifier(1),
-            Command::CommandReject(CommandReject {
+            &Command::CommandReject(CommandReject {
                 reason: RejectReason::InvalidCidInRequest,
                 data: vec![],
             }),
@@ -312,7 +312,7 @@ mod tests {
     fn refused_connection_response_is_a_rejection_but_success_is_not() {
         let refused = signaling_frame(
             Identifier(1),
-            Command::ConnectionResponse(ConnectionResponse {
+            &Command::ConnectionResponse(ConnectionResponse {
                 dcid: Cid::NULL,
                 scid: Cid(0x0040),
                 result: ConnectionResult::RefusedPsmNotSupported,
@@ -322,7 +322,7 @@ mod tests {
         assert!(is_rejection(&refused));
         let success = signaling_frame(
             Identifier(1),
-            Command::ConnectionResponse(ConnectionResponse {
+            &Command::ConnectionResponse(ConnectionResponse {
                 dcid: Cid(0x0041),
                 scid: Cid(0x0040),
                 result: ConnectionResult::Success,
@@ -336,7 +336,7 @@ mod tests {
     fn echo_response_is_not_a_rejection() {
         let frame = signaling_frame(
             Identifier(1),
-            Command::EchoResponse(l2cap::command::EchoResponse { data: vec![] }),
+            &Command::EchoResponse(l2cap::command::EchoResponse { data: vec![] }),
         );
         assert!(!is_rejection(&frame));
     }

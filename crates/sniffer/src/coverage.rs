@@ -480,7 +480,7 @@ mod tests {
         PacketRecord {
             direction: Direction::Tx,
             timestamp_micros: ts,
-            frame: signaling_frame(Identifier(1), cmd),
+            frame: signaling_frame(Identifier(1), &cmd),
         }
     }
 
@@ -488,7 +488,7 @@ mod tests {
         PacketRecord {
             direction: Direction::Rx,
             timestamp_micros: ts,
-            frame: signaling_frame(Identifier(1), cmd),
+            frame: signaling_frame(Identifier(1), &cmd),
         }
     }
 

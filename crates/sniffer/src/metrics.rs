@@ -175,7 +175,7 @@ mod tests {
             timestamp_micros: ts,
             frame: signaling_frame(
                 Identifier(1),
-                Command::ConnectionRequest(ConnectionRequest {
+                &Command::ConnectionRequest(ConnectionRequest {
                     psm: Psm::SDP,
                     scid: Cid(0x40),
                 }),
@@ -203,7 +203,7 @@ mod tests {
             timestamp_micros: ts,
             frame: signaling_frame(
                 Identifier(1),
-                Command::CommandReject(CommandReject {
+                &Command::CommandReject(CommandReject {
                     reason: RejectReason::CommandNotUnderstood,
                     data: vec![],
                 }),
@@ -217,7 +217,7 @@ mod tests {
             timestamp_micros: ts,
             frame: signaling_frame(
                 Identifier(1),
-                Command::EchoResponse(EchoResponse { data: vec![] }),
+                &Command::EchoResponse(EchoResponse { data: vec![] }),
             ),
         }
     }

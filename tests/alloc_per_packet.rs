@@ -1,14 +1,16 @@
-//! Allocation budget of the zero-copy injection pipeline.
+//! Allocation budget of the injection pipeline.
 //!
-//! The frame pipeline's contract (PR 3) is that steady-state packet
-//! injection — mutate in an arena buffer, frame it, push it across the
-//! virtual air — performs O(1) heap allocations per packet, measured here
-//! with a counting global allocator at **≤ 2 allocations per injected
-//! packet** (in practice: one `Arc` control block when the mutation buffer
-//! is frozen; everything else is recycled through the `FrameArena`).
+//! Steady-state packet injection — mutate in the frame builder's scratch
+//! buffer, frame the packet, push it across the virtual air — allocates
+//! nothing for a signalling frame: a frame that fits inline is copied by
+//! value into the packet, the frame and every tap record.  A tap allocates
+//! only to grow its record vector.  The tests count the allocations of
+//! their own thread: libtest runs them in parallel, and the process-wide
+//! count would leak one test's (or the harness's) allocations into the
+//! other's window.
 
-use alloc_counter::{allocations, CountingAllocator};
-use btcore::{BdAddr, Cid, DeviceMeta, FuzzRng, Identifier, LinkSlot, Psm, SimClock};
+use alloc_counter::{thread_allocations as allocations, CountingAllocator};
+use btcore::{BdAddr, Cid, DeviceMeta, FrameBuf, FuzzRng, Identifier, LinkSlot, Psm, SimClock};
 use hci::device::VirtualDevice;
 use hci::link::{new_tap, LinkConfig};
 use hci::medium::{EventMedium, LinkHandle, Medium};
@@ -56,79 +58,94 @@ fn inject(mutator: &mut CoreFieldMutator, link: &mut LinkHandle, ctx: &ChannelCo
             ctx,
             Identifier((i % 250 + 1) as u8),
         );
-        let frame = packet.to_frame_in(link.arena());
-        let responses = link.send_frame(&frame);
+        let responses = link.send_frame(&packet.to_frame());
         assert!(responses.is_empty());
     }
 }
 
-#[test]
-fn steady_state_injection_allocates_at_most_two_per_packet() {
-    let ctx = ChannelContext {
+fn context() -> ChannelContext {
+    ChannelContext {
         scid: Cid(0x0040),
         dcid: Cid(0x0041),
         psm: Psm::SDP,
-    };
+    }
+}
 
-    // Untapped link: buffers recycle through the arena each exchange.
+/// The budget is tighter than the name: untapped injection allocates
+/// nothing, and a tap allocates only to grow its record vector.
+#[test]
+fn steady_state_injection_allocates_at_most_two_per_packet() {
+    const PACKETS: u32 = 1_000;
+    let ctx = context();
+
+    // Untapped link: nothing is allocated per packet.
     let mut link = silent_link();
     let mut mutator = CoreFieldMutator::new(FuzzRng::seed_from(42));
-    // Warm-up: populate the arena pools and any lazily-allocated state.
+    // Warm-up: grow the scratch buffer and any lazily-allocated state.
     inject(&mut mutator, &mut link, &ctx, 64);
-
-    const PACKETS: u32 = 1_000;
     let before = allocations();
     inject(&mut mutator, &mut link, &ctx, PACKETS);
-    let total = allocations() - before;
-    let per_packet = total as f64 / f64::from(PACKETS);
-    assert!(
-        per_packet <= 2.0,
-        "steady-state injection allocates {per_packet:.3} times per packet \
-         ({total} allocations for {PACKETS} packets); the pipeline budget is 2"
+    let untapped = allocations() - before;
+    assert_eq!(
+        untapped, 0,
+        "untapped injection made {untapped} allocations for {PACKETS} packets"
     );
 
-    // With a tap attached every frame is retained by the capture, so its
-    // buffer cannot recycle — the budget grows by the retained backing store
-    // (one Vec per packet) but stays O(1).
+    // With a tap attached every frame is retained by the capture; only the
+    // record vector's doubling allocates, about log2(records) times.
     let mut link = silent_link();
     let tap = new_tap();
     link.attach_tap(tap.clone());
     inject(&mut mutator, &mut link, &ctx, 64);
     let before = allocations();
     inject(&mut mutator, &mut link, &ctx, PACKETS);
-    let total = allocations() - before;
-    let per_packet = total as f64 / f64::from(PACKETS);
+    let tapped = allocations() - before;
     assert!(
-        per_packet <= 4.0,
-        "tapped injection allocates {per_packet:.3} times per packet; budget is 4"
+        tapped < 16,
+        "tapped injection made {tapped} allocations for {PACKETS} packets; \
+         only the tap's growth may allocate"
     );
     assert!(tap.lock().len() >= PACKETS as usize);
 }
 
 #[test]
 fn tap_records_share_the_injected_frames_buffers() {
-    // The capture pipeline is zero-copy end-to-end: the record a tap holds
-    // is a view into the very buffer the mutator filled.
-    let ctx = ChannelContext {
-        scid: Cid(0x0040),
-        dcid: Cid(0x0041),
-        psm: Psm::SDP,
-    };
+    let ctx = context();
     let mut link = silent_link();
     let tap = new_tap();
     link.attach_tap(tap.clone());
     let mut mutator = CoreFieldMutator::new(FuzzRng::seed_from(1));
+    inject(&mut mutator, &mut link, &ctx, 64);
+
+    // A tap record of a small injected frame holds the same bytes and is
+    // made without allocating (the record vector has room reserved): the
+    // frame is inline, so the record copies it by value.
+    tap.lock().reserve(1);
+    let before = allocations();
     let packet = mutator.mutate(CommandCode::ConfigureRequest, &ctx, Identifier(1));
-    let frame = packet.to_frame_in(link.arena());
-    assert!(
-        frame.payload.shares_storage_with(&packet.data),
-        "framing a mutated packet must reuse the mutation buffer"
-    );
+    let frame = packet.to_frame();
     link.send_frame(&frame);
+    let captured = allocations() - before;
+    assert_eq!(
+        captured, 0,
+        "capturing one small frame allocated {captured} times"
+    );
+    assert!(frame.payload.len() <= FrameBuf::INLINE_CAPACITY);
     let records = tap.lock();
-    assert_eq!(records.len(), 1);
+    let record = records.last().unwrap();
+    assert_eq!(record.frame, frame);
+    assert_eq!(record.frame.payload, packet.to_bytes());
+    drop(records);
+
+    // Above the inline capacity the record shares the frame's allocation
+    // instead of copying it.
+    let large = L2capFrame::new(Cid::SIGNALING, vec![0xAB; 2 * FrameBuf::INLINE_CAPACITY]);
+    link.send_frame(&large);
+    let records = tap.lock();
+    let record = records.last().unwrap();
+    assert_eq!(record.frame, large);
     assert!(
-        records[0].frame.payload.shares_storage_with(&packet.data),
-        "the tap record must borrow the mutation buffer, not copy it"
+        record.frame.payload.shares_storage_with(&large.payload),
+        "the tap record of a large frame must share its buffer, not copy it"
     );
 }

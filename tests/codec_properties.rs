@@ -27,15 +27,17 @@ proptest! {
         let shared = L2capFrame::parse_buf(&wire).unwrap();
         prop_assert_eq!(&owned, &shared);
         prop_assert_eq!(owned.to_bytes(), shared.to_bytes());
-        // The zero-copy payload really is a view into the parsed buffer.
-        prop_assert!(shared.payload.shares_storage_with(&wire));
+        // Above the inline capacity the payload really is a view into the
+        // parsed buffer's allocation (smaller buffers are copied by value).
+        let large = wire.len() > btcore::FrameBuf::INLINE_CAPACITY;
+        prop_assert_eq!(shared.payload.shares_storage_with(&wire), large);
 
         // Same equivalence one layer down, on the signalling C-frame.
         let owned_sig = SignalingPacket::parse(&wire).unwrap();
         let shared_sig = SignalingPacket::parse_buf(&wire).unwrap();
         prop_assert_eq!(&owned_sig, &shared_sig);
         prop_assert_eq!(owned_sig.to_bytes(), shared_sig.to_bytes());
-        prop_assert!(shared_sig.data.shares_storage_with(&wire));
+        prop_assert_eq!(shared_sig.data.shares_storage_with(&wire), large);
         // Re-framing a parsed packet reuses the wire bytes and reproduces
         // them exactly.
         let reframed = shared_sig.to_frame();
@@ -55,23 +57,25 @@ proptest! {
 
         let frags = fragment(btcore::ConnectionHandle(7), &wire);
         prop_assert_eq!(frags.len(), wire.len().div_ceil(ACL_FRAGMENT_SIZE).max(1));
-        // Every fragment is a view into the frame's buffer, first flag set
-        // exactly once, and the chunks are the byte-exact windows.
+        // Every fragment of a frame above the inline capacity is a view into
+        // the frame's buffer, first flag set exactly once, and the chunks are
+        // the byte-exact windows.
+        let large = wire.len() > btcore::FrameBuf::INLINE_CAPACITY;
         let mut offset = 0usize;
         for (i, frag) in frags.iter().enumerate() {
             prop_assert_eq!(frag.boundary.is_first(), i == 0);
-            prop_assert!(frag.data.shares_storage_with(&wire) || wire.is_empty());
+            prop_assert_eq!(frag.data.shares_storage_with(&wire), large);
             prop_assert_eq!(frag.data.as_slice(), &wire[offset..(offset + ACL_FRAGMENT_SIZE).min(wire.len())]);
             offset += frag.data.len();
         }
         prop_assert_eq!(offset, wire.len());
 
-        // Reassembly restores the exact wire bytes, and a single-fragment
-        // sequence reassembles without any copy.
+        // Reassembly restores the exact wire bytes, and a large
+        // single-fragment sequence reassembles without any copy.
         let back = reassemble(&frags).unwrap();
         prop_assert_eq!(back.as_slice(), wire.as_slice());
         if frags.len() == 1 {
-            prop_assert!(back.shares_storage_with(&wire));
+            prop_assert_eq!(back.shares_storage_with(&wire), large);
         }
         let reparsed = L2capFrame::parse_buf(&back).unwrap();
         prop_assert_eq!(reparsed, frame);

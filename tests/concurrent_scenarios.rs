@@ -29,7 +29,7 @@ use sniffer::StateCoverage;
 
 /// Sends one signalling command over a link and parses the first response.
 fn exchange(link: &mut hci::medium::LinkHandle, id: u8, command: Command) -> Option<Command> {
-    let frame = signaling_frame(Identifier(id), command);
+    let frame = signaling_frame(Identifier(id), &command);
     let responses = link.send_frame(&frame);
     responses
         .first()

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use l2fuzz_repro::btcore::Identifier;
 use l2fuzz_repro::btstack::profiles::ProfileId;
 use l2fuzz_repro::l2cap::command::{Command, EchoRequest};
-use l2fuzz_repro::l2cap::packet::signaling_frame_in;
+use l2fuzz_repro::l2cap::packet::signaling_frame;
 use l2fuzz_repro::l2fuzz::{FuzzConfig, FuzzCtx, FuzzReport, Fuzzer, L2FuzzTool};
 use l2fuzz_repro::service::{
     Checkpoint, JobOutcome, ResumeVerify, ServiceError, SweepService, SweepSpec,
@@ -425,7 +425,7 @@ impl Fuzzer for ChaosFuzzer {
                     data: vec![0x4C, 0x32],
                 });
                 loop {
-                    let frame = signaling_frame_in(ctx.link.arena(), Identifier(0x42), &probe);
+                    let frame = signaling_frame(Identifier(0x42), &probe);
                     ctx.link.send_frame(&frame);
                 }
             }
