@@ -1,16 +1,10 @@
-//! Source-level invariant lints: the two invariants most likely to rot
-//! silently.
+//! Source-level invariant lints.
 //!
 //! - **Panic lint** (gating): no `.unwrap()` / `.expect(` in non-test code
 //!   of the hot-path crates (`btcore`, `l2cap`, `hci`, `core`).  A site
 //!   that is genuinely infallible is pinned with an
 //!   `// analyzer: allow(panic) — <why>` comment within the five lines
 //!   above it; the justification lives next to the code it defends.
-//! - **Parity lint** (gating): every manual
-//!   [`StreamSerialize`](serde_json::StreamSerialize) impl that writes
-//!   object fields must keep exact, ordered field parity with its struct
-//!   definition — the streaming path and the derived serde path must
-//!   produce the same document forever.
 //! - **Index lint** (advisory): counts non-literal indexing expressions in
 //!   the hot-path crates.  Reported in the JSON output as a trend metric;
 //!   never fails the analyzer.
@@ -23,8 +17,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-use serde_json::{JsonStreamWriter, StreamSerialize};
+use serde::Serialize;
 
 /// The crates whose non-test code must not panic (they sit on the
 /// per-packet path of every campaign).
@@ -35,41 +28,27 @@ pub const HOT_PATH_CRATES: [&str; 4] = ["btcore", "l2cap", "hci", "core"];
 const ALLOW_LOOKBACK: usize = 5;
 
 /// One lint finding (gating).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LintFinding {
     /// Repo-relative file path.
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Which lint fired (`panic` or `stream-parity`).
+    /// Which lint fired (`panic`).
     pub lint: String,
     /// What is wrong.
     pub message: String,
 }
 
-impl StreamSerialize for LintFinding {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("file", &self.file)
-            .field("line", &self.line)
-            .field("lint", &self.lint)
-            .field("message", &self.message)
-            .end_object();
-    }
-}
-
 /// The result of the full lint pass.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
-    /// Gating findings (panic + parity); any of these fails the analyzer.
+    /// Gating findings; any of these fails the analyzer.
     pub findings: Vec<LintFinding>,
     /// Advisory count of non-literal indexing sites in hot-path crates.
     pub index_sites: usize,
     /// Number of panic sites pinned with an allow marker.
     pub allowed_panics: usize,
-    /// Number of manual `StreamSerialize` impls whose field lists were
-    /// verified against their struct definitions.
-    pub parity_checked: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -99,9 +78,11 @@ fn is_comment_or_attr(trimmed: &str) -> bool {
     trimmed.starts_with("//") || trimmed.starts_with("#[") || trimmed.starts_with("#![")
 }
 
-fn has_allow_marker(lines: &[&str], index: usize, marker: &str) -> bool {
+fn has_allow_marker(lines: &[&str], index: usize) -> bool {
     let start = index.saturating_sub(ALLOW_LOOKBACK);
-    lines[start..=index].iter().any(|l| l.contains(marker))
+    lines[start..=index]
+        .iter()
+        .any(|l| l.contains("analyzer: allow(panic"))
 }
 
 /// Scans one file for panicking operations outside the test module.
@@ -123,7 +104,7 @@ fn panic_lint(root: &Path, path: &Path, source: &str, report: &mut LintReport) {
         if !panicking {
             continue;
         }
-        if has_allow_marker(&lines, i, "analyzer: allow(panic") {
+        if has_allow_marker(&lines, i) {
             report.allowed_panics += 1;
             continue;
         }
@@ -180,207 +161,6 @@ fn index_lint(source: &str, report: &mut LintReport) {
     }
 }
 
-/// An ordered field list extracted from a struct definition or a
-/// `StreamSerialize` impl.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FieldList {
-    line: usize,
-    fields: Vec<String>,
-}
-
-/// Extracts `name -> ordered field idents` for every braced struct in the
-/// file, honoring `#[serde(skip)]` (field excluded) and
-/// `#[serde(rename = "...")]` (renamed).
-fn struct_fields(source: &str) -> Vec<(String, FieldList)> {
-    let mut out = Vec::new();
-    let mut lines = source.lines().enumerate().peekable();
-    while let Some((i, line)) = lines.next() {
-        let trimmed = line.trim_start();
-        let Some(rest) = trimmed
-            .strip_prefix("pub struct ")
-            .or_else(|| trimmed.strip_prefix("struct "))
-        else {
-            continue;
-        };
-        let Some(name) = rest.split(['<', ' ', '{', '(']).next() else {
-            continue;
-        };
-        if !rest.contains('{') {
-            continue; // tuple/unit struct
-        }
-        let mut fields = Vec::new();
-        let mut skip_next = false;
-        let mut rename_next: Option<String> = None;
-        for (_, body) in lines.by_ref() {
-            let t = body.trim();
-            if t == "}" {
-                break;
-            }
-            if t.starts_with("#[serde") {
-                if t.contains("skip") {
-                    skip_next = true;
-                }
-                if let Some(r) = t.split("rename = \"").nth(1) {
-                    rename_next = r.split('"').next().map(str::to_owned);
-                }
-                continue;
-            }
-            if t.starts_with("//") || t.starts_with("#[") {
-                continue;
-            }
-            let decl = t.strip_prefix("pub ").unwrap_or(t);
-            let Some((ident, _ty)) = decl.split_once(':') else {
-                continue;
-            };
-            let ident = ident.trim();
-            if ident.contains(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                continue;
-            }
-            if skip_next {
-                skip_next = false;
-                rename_next = None;
-                continue;
-            }
-            fields.push(rename_next.take().unwrap_or_else(|| ident.to_owned()));
-        }
-        out.push((
-            name.to_owned(),
-            FieldList {
-                line: i + 1,
-                fields,
-            },
-        ));
-    }
-    out
-}
-
-/// Extracts `type name -> ordered .field("...") keys` for every manual
-/// `StreamSerialize` impl in the file (impls that stream no object fields
-/// are scalar encodings and are skipped).
-fn stream_impl_fields(source: &str) -> Vec<(String, FieldList)> {
-    let mut out = Vec::new();
-    let lines: Vec<&str> = source.lines().collect();
-    let mut i = 0;
-    while i < lines.len() {
-        let trimmed = lines[i].trim_start();
-        let is_impl = trimmed.starts_with("impl StreamSerialize for ")
-            || trimmed.starts_with("impl serde_json::StreamSerialize for ");
-        if !is_impl {
-            i += 1;
-            continue;
-        }
-        // An impl that deliberately diverges from the struct shape (computed
-        // fields, inlined sub-objects) opts out with a justification comment.
-        if has_allow_marker(&lines, i, "analyzer: allow(parity)") {
-            i += 1;
-            continue;
-        }
-        let name = trimmed
-            .rsplit(" for ")
-            .next()
-            .unwrap_or("")
-            .split(['<', ' ', '{'])
-            .next()
-            .unwrap_or("")
-            .to_owned();
-        let impl_line = i + 1;
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut fields = Vec::new();
-        while i < lines.len() {
-            let line = lines[i];
-            for key in extract_keys(line) {
-                fields.push(key);
-            }
-            depth += line.matches('{').count();
-            depth = depth.saturating_sub(line.matches('}').count());
-            if depth > 0 {
-                opened = true;
-            }
-            if opened && depth == 0 {
-                break;
-            }
-            i += 1;
-        }
-        if !fields.is_empty() {
-            out.push((
-                name,
-                FieldList {
-                    line: impl_line,
-                    fields,
-                },
-            ));
-        }
-        i += 1;
-    }
-    out
-}
-
-/// The string arguments of `.field("...")` and `.key("...")` calls on one
-/// line, in document order.
-fn extract_keys(line: &str) -> Vec<String> {
-    let bytes = line.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let rest = &bytes[i..];
-        let Some(pattern) = [b".field(\"".as_slice(), b".key(\"".as_slice()]
-            .into_iter()
-            .find(|p| rest.starts_with(p))
-        else {
-            i += 1;
-            continue;
-        };
-        let tail = &rest[pattern.len()..];
-        if let Some(end) = tail.iter().position(|&b| b == b'"') {
-            keys.push(String::from_utf8_lossy(&tail[..end]).into_owned());
-            i += pattern.len() + end + 1;
-        } else {
-            i += pattern.len();
-        }
-    }
-    keys
-}
-
-/// Checks field parity between manual `StreamSerialize` impls and their
-/// struct definitions, crate-locally.
-fn parity_lint(root: &Path, crate_dir: &Path, report: &mut LintReport) -> io::Result<()> {
-    let src = crate_dir.join("src");
-    if !src.is_dir() {
-        return Ok(());
-    }
-    let mut files = Vec::new();
-    rust_files(&src, &mut files)?;
-    let mut structs: Vec<(String, FieldList)> = Vec::new();
-    let mut impls: Vec<(PathBuf, String, FieldList)> = Vec::new();
-    for path in &files {
-        let source = fs::read_to_string(path)?;
-        structs.extend(struct_fields(&source));
-        for (name, list) in stream_impl_fields(&source) {
-            impls.push((path.clone(), name, list));
-        }
-    }
-    for (path, name, impl_fields) in impls {
-        let Some((_, struct_def)) = structs.iter().find(|(n, _)| *n == name) else {
-            continue; // enum or out-of-crate type; nothing to compare
-        };
-        report.parity_checked += 1;
-        if impl_fields.fields != struct_def.fields {
-            report.findings.push(LintFinding {
-                file: relative_to(root, &path),
-                line: impl_fields.line,
-                lint: "stream-parity".into(),
-                message: format!(
-                    "StreamSerialize impl for {name} streams fields {:?} but the struct \
-                     declares {:?} — the streaming and derived documents have diverged",
-                    impl_fields.fields, struct_def.fields
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Runs every lint over the repository rooted at `root`.
 pub fn run_lints(root: &Path) -> io::Result<LintReport> {
     let mut report = LintReport::default();
@@ -394,15 +174,6 @@ pub fn run_lints(root: &Path) -> io::Result<LintReport> {
             panic_lint(root, path, &source, &mut report);
             index_lint(&source, &mut report);
         }
-    }
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        parity_lint(root, &crate_dir, &mut report)?;
     }
     Ok(report)
 }
@@ -442,35 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_mismatch_is_detected() {
-        let source = "pub struct P {\n\
-                      pub a: u8,\n\
-                      pub b: u8,\n\
-                      }\n\
-                      impl StreamSerialize for P {\n\
-                      fn stream(&self, w: &mut JsonStreamWriter) {\n\
-                      w.begin_object().field(\"a\", &self.a).end_object();\n\
-                      }\n\
-                      }\n";
-        let structs = struct_fields(source);
-        assert_eq!(structs[0].1.fields, vec!["a", "b"]);
-        let impls = stream_impl_fields(source);
-        assert_eq!(impls[0].1.fields, vec!["a"]);
-    }
-
-    #[test]
-    fn serde_skip_and_rename_are_honored() {
-        let source = "pub struct Q {\n\
-                      #[serde(skip)]\n\
-                      pub hidden: u8,\n\
-                      #[serde(rename = \"visible\")]\n\
-                      pub shown: u8,\n\
-                      }\n";
-        let structs = struct_fields(source);
-        assert_eq!(structs[0].1.fields, vec!["visible"]);
-    }
-
-    #[test]
     fn repo_lints_run_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
@@ -479,6 +221,5 @@ mod tests {
         let report = run_lints(root).expect("lint scan");
         assert!(report.findings.is_empty(), "{:#?}", report.findings);
         assert!(report.files_scanned > 0);
-        assert!(report.parity_checked > 0);
     }
 }

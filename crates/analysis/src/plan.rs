@@ -41,8 +41,7 @@ use btcore::LinkType;
 use l2cap::code::CommandCode;
 use l2cap::jobs::{job_of, Job};
 use l2cap::state::{ChannelState, StateMachine};
-use serde::{Deserialize, Serialize};
-use serde_json::{JsonStreamWriter, StreamSerialize};
+use serde::Serialize;
 
 use crate::model::{link_model, step, Input, LinkModel, Witness};
 
@@ -65,7 +64,7 @@ pub fn guide_sendable(code: CommandCode) -> bool {
 }
 
 /// How a plan relates its target state to its parking state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlanKind {
     /// No channel is opened; the mutator's own connect-shaped traffic
     /// enters the target state from `CLOSED`.
@@ -84,7 +83,7 @@ pub enum PlanKind {
 /// A verified driving sequence for one `(state, link)` pair: send
 /// `prelude` (in order, as normal packets), ending with the target's
 /// channel machine resting in `park`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FuzzPlan {
     /// The state this plan drives toward.
     pub state: ChannelState,
@@ -112,18 +111,6 @@ impl FuzzPlan {
             machine.advance(code, true);
         }
         machine
-    }
-}
-
-impl StreamSerialize for FuzzPlan {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("link", &self.link)
-            .field("prelude", &self.prelude)
-            .field("park", &self.park)
-            .field("kind", &format!("{:?}", self.kind))
-            .end_object();
     }
 }
 

@@ -4,6 +4,7 @@
 
 use std::fmt::Write as _;
 
+use serde::Serialize;
 use serde_json::{JsonStreamWriter, StreamSerialize};
 
 use crate::checks::{check_model, Allowlist, ModelCheck, Violation};
@@ -139,9 +140,8 @@ impl AnalysisReport {
         if let Some(lints) = &self.lints {
             let _ = writeln!(
                 s,
-                "lints: {} files scanned, {} pinned panic sites, {} parity-checked impls, \
-                 {} advisory index sites",
-                lints.files_scanned, lints.allowed_panics, lints.parity_checked, lints.index_sites
+                "lints: {} files scanned, {} pinned panic sites, {} advisory index sites",
+                lints.files_scanned, lints.allowed_panics, lints.index_sites
             );
         }
         let problems = self.problems();
@@ -158,7 +158,7 @@ impl AnalysisReport {
 }
 
 /// One row of [`AnalysisReport::plan_index`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PlanIndexEntry {
     /// The state the plan drives toward.
     pub state: l2cap::state::ChannelState,
@@ -172,22 +172,8 @@ pub struct PlanIndexEntry {
     pub prelude_len: usize,
 }
 
-impl StreamSerialize for PlanIndexEntry {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("link", &self.link)
-            .field("kind", &self.kind)
-            .field("witness_len", &self.witness_len)
-            .field("prelude_len", &self.prelude_len)
-            .end_object();
-    }
-}
-
-// analyzer: allow(parity) — streams the computed `clean` verdict, the
-// derived `plan_index`, and inlines the optional LintReport as a nested
-// object, so the key list intentionally differs from the struct's field
-// list.
+/// Streamed by hand: the document adds the computed `plan_index` and
+/// `clean` verdict, and inlines the optional [`LintReport`] as an object.
 impl StreamSerialize for AnalysisReport {
     fn stream(&self, w: &mut JsonStreamWriter) {
         w.begin_object();
@@ -214,7 +200,6 @@ impl StreamSerialize for AnalysisReport {
                 w.begin_object()
                     .field("files_scanned", &lints.files_scanned)
                     .field("allowed_panics", &lints.allowed_panics)
-                    .field("parity_checked", &lints.parity_checked)
                     .field("index_sites", &lints.index_sites);
                 w.key("findings").begin_array();
                 for f in &lints.findings {
@@ -235,6 +220,7 @@ impl StreamSerialize for AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn default_analysis_is_clean() {
@@ -264,13 +250,13 @@ mod tests {
     fn json_report_round_trips_as_valid_json() {
         let report = AnalysisReport::run(&Allowlist::default(), None);
         let json = serde_json::to_string_streamed(&report);
-        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(value.get("clean"), Some(&serde_json::Value::Bool(true)));
+        let value: Value = serde_json::from_str_streamed(&json).expect("valid JSON");
+        assert_eq!(value.get("clean"), Some(&Value::Bool(true)));
         let witnesses = value
             .get("model")
             .and_then(|m| m.get("witnesses"))
             .expect("model.witnesses present");
-        assert!(witnesses.as_array().is_ok_and(|w| w.len() == 18));
+        assert!(matches!(witnesses, Value::Array(w) if w.len() == 18));
     }
 
     #[test]
@@ -298,9 +284,10 @@ mod tests {
 
         // And the JSON report carries the index.
         let json = serde_json::to_string_streamed(&report);
-        let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let rows = value.get("plan_index").expect("plan_index present");
-        let rows = rows.as_array().expect("plan_index is an array");
+        let value: Value = serde_json::from_str_streamed(&json).expect("valid JSON");
+        let Some(Value::Array(rows)) = value.get("plan_index") else {
+            panic!("plan_index is an array");
+        };
         assert_eq!(rows.len(), 18);
         assert!(rows.iter().all(|r| {
             r.get("witness_len").is_some()

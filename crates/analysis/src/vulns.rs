@@ -16,8 +16,7 @@ use btstack::vuln::VulnerabilitySpec;
 use l2cap::code::CommandCode;
 use l2cap::jobs::Job;
 use l2cap::state::ChannelState;
-use serde::{Deserialize, Serialize};
-use serde_json::{JsonStreamWriter, StreamSerialize};
+use serde::Serialize;
 
 use crate::checks::Violation;
 use crate::model::{witness, Witness};
@@ -26,7 +25,7 @@ use crate::plan::link_name;
 /// One provable way to trigger a vulnerability: a reachable state whose
 /// job the trigger names, and a triggering command the mutator may send
 /// in that state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CertificateEntry {
     /// The reachable trigger state.
     pub state: ChannelState,
@@ -38,20 +37,9 @@ pub struct CertificateEntry {
     pub witness: Witness,
 }
 
-impl StreamSerialize for CertificateEntry {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("job", &self.job)
-            .field("command", &self.command)
-            .field("witness", &self.witness)
-            .end_object();
-    }
-}
-
 /// The reachability certificate of one seeded vulnerability on one
 /// transport of one device profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VulnCertificate {
     /// The device carrying the vulnerability (D1–D11).
     pub profile: String,
@@ -61,17 +49,6 @@ pub struct VulnCertificate {
     pub link: LinkType,
     /// Every provable (state, command) trigger pair.
     pub entries: Vec<CertificateEntry>,
-}
-
-impl StreamSerialize for VulnCertificate {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("profile", &self.profile)
-            .field("vuln_id", &self.vuln_id)
-            .field("link", &self.link)
-            .field("entries", &self.entries)
-            .end_object();
-    }
 }
 
 /// The commands of `spec`'s trigger that the mutator may send in states of

@@ -496,7 +496,7 @@ fn load_baseline(path: &str) -> Option<serde::Value> {
             return None;
         }
     };
-    match serde_json::from_str(&text) {
+    match serde_json::from_str_streamed(&text) {
         Ok(v) => Some(v),
         Err(err) => {
             println!("\n> baseline {path} not valid JSON ({err}); comparison skipped");

@@ -181,8 +181,9 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let addr = BdAddr::new([1, 2, 3, 4, 5, 6]);
-        let json = serde_json::to_string(&addr).unwrap();
-        let back: BdAddr = serde_json::from_str(&json).unwrap();
+        let json = serde_json::to_string_streamed(&addr);
+        assert_eq!(json, "[1,2,3,4,5,6]");
+        let back: BdAddr = serde_json::from_str_streamed(&json).unwrap();
         assert_eq!(addr, back);
     }
 }

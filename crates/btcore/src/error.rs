@@ -68,7 +68,7 @@ impl fmt::Display for ConnectionError {
 impl std::error::Error for ConnectionError {}
 
 /// Top-level error type for operations against a (virtual) Bluetooth device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BtError {
     /// A connection-level failure.
     Connection(ConnectionError),

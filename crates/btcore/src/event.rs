@@ -1,6 +1,6 @@
 //! The deterministic event core of the asynchronous medium.
 //!
-//! PR 5 replaces the synchronous `AirMedium` call chain with an
+//! Frames cross the simulated air through an
 //! event-driven medium: every frame exchange is an *event* with a virtual
 //! timestamp, and events fire in a total order that is a pure function of
 //! the campaign seed — never of OS scheduling.  [`EventScheduler`] is the

@@ -1,142 +1,18 @@
-//! Streaming JSON serialization for the vocabulary types.
+//! Streaming JSON for [`FrameBuf`], and the encoding tests of the
+//! vocabulary types (whose impls are derived).
 //!
-//! These mirror the derived `serde::Serialize` encodings byte for byte (the
-//! equivalence is pinned by the report-path tests in the `l2fuzz` crate), so
-//! reports and traces can be written through
-//! [`serde_json::JsonStreamWriter`] without materializing a `Value` tree —
-//! and read back through [`serde_json::JsonStreamReader`] the same way.
+//! A `FrameBuf` is not a derivable shape (its bytes live inline or in a
+//! shared allocation), so it streams by hand: exactly like `Vec<u8>`, a JSON
+//! array of numbers, so swapping a `Vec<u8>` field for a `FrameBuf` changes
+//! no serialized artifact.
 
 use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
 
-use crate::addr::{BdAddr, Oui};
-use crate::device::{DeviceClass, DeviceMeta, LinkSlot, LinkType};
-use crate::error::ConnectionError;
 use crate::framebuf::FrameBuf;
-use crate::ids::{Cid, ConnectionHandle, Identifier, Psm};
 
-serde_json::stream_unit_enum!(DeviceClass, LinkType, ConnectionError);
-serde_json::stream_unit_enum_de!(DeviceClass, LinkType, ConnectionError);
-
-impl StreamSerialize for BdAddr {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        self.bytes().stream(w);
-    }
-}
-
-impl StreamSerialize for Oui {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        self.bytes().stream(w);
-    }
-}
-
-impl StreamSerialize for DeviceMeta {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("addr", &self.addr)
-            .field("name", &self.name)
-            .field("class", &self.class)
-            .field("oui", &self.oui)
-            .field("link_type", &self.link_type)
-            .end_object();
-    }
-}
-
-impl StreamSerialize for Cid {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.u64(u64::from(self.0));
-    }
-}
-
-impl StreamSerialize for Psm {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.u64(u64::from(self.0));
-    }
-}
-
-impl StreamSerialize for Identifier {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.u64(u64::from(self.0));
-    }
-}
-
-impl StreamSerialize for ConnectionHandle {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.u64(u64::from(self.0));
-    }
-}
-
-impl StreamSerialize for LinkSlot {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.u64(u64::from(self.0));
-    }
-}
-
-/// Streams exactly like `Vec<u8>` (a JSON array of numbers), matching the
-/// tree-based `Serialize` impl.
 impl StreamSerialize for FrameBuf {
     fn stream(&self, w: &mut JsonStreamWriter) {
         self.as_slice().stream(w);
-    }
-}
-
-impl StreamDeserialize for BdAddr {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(BdAddr::new(<[u8; 6]>::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for Oui {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(Oui::new(<[u8; 3]>::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for DeviceMeta {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let addr = r.key("addr")?.value()?;
-        let name = r.key("name")?.value()?;
-        let class = r.key("class")?.value()?;
-        let oui = r.key("oui")?.value()?;
-        let link_type = r.key("link_type")?.value()?;
-        r.end_object()?;
-        Ok(DeviceMeta {
-            addr,
-            name,
-            class,
-            oui,
-            link_type,
-        })
-    }
-}
-
-impl StreamDeserialize for Cid {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(Cid(u16::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for Psm {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(Psm(u16::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for Identifier {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(Identifier(u8::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for ConnectionHandle {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(ConnectionHandle(u16::stream_from(r)?))
-    }
-}
-
-impl StreamDeserialize for LinkSlot {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(LinkSlot(u16::stream_from(r)?))
     }
 }
 
@@ -149,6 +25,10 @@ impl StreamDeserialize for FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::BdAddr;
+    use crate::device::{DeviceClass, DeviceMeta, LinkType};
+    use crate::error::ConnectionError;
+    use crate::ids::{Cid, Psm};
     use serde_json::to_string_streamed;
 
     #[test]
@@ -161,17 +41,19 @@ mod tests {
         .with_link_type(LinkType::Le);
         assert_eq!(
             to_string_streamed(&meta),
-            serde_json::to_string(&meta).unwrap()
+            concat!(
+                r#"{"addr":[248,15,249,1,2,3],"name":"Pixel 3","class":"Smartphone","#,
+                r#""oui":[248,15,249],"link_type":"Le"}"#
+            )
         );
         let buf: FrameBuf = vec![1u8, 2, 250].into();
-        assert_eq!(
-            to_string_streamed(&buf),
-            serde_json::to_string(&buf).unwrap()
-        );
+        assert_eq!(to_string_streamed(&buf), "[1,2,250]");
         for err in ConnectionError::ALL {
+            let json = to_string_streamed(&err);
+            assert_eq!(json, format!("\"{err:?}\""));
             assert_eq!(
-                to_string_streamed(&err),
-                serde_json::to_string(&err).unwrap()
+                serde_json::from_str_streamed::<ConnectionError>(&json).unwrap(),
+                err
             );
         }
         for class in [
@@ -183,15 +65,19 @@ mod tests {
             DeviceClass::Peripheral,
             DeviceClass::Other,
         ] {
+            let json = to_string_streamed(&class);
+            assert_eq!(json, format!("\"{class:?}\""));
             assert_eq!(
-                to_string_streamed(&class),
-                serde_json::to_string(&class).unwrap()
+                serde_json::from_str_streamed::<DeviceClass>(&json).unwrap(),
+                class
             );
         }
         for link in LinkType::ALL {
+            let json = to_string_streamed(&link);
+            assert_eq!(json, format!("\"{link:?}\""));
             assert_eq!(
-                to_string_streamed(&link),
-                serde_json::to_string(&link).unwrap()
+                serde_json::from_str_streamed::<LinkType>(&json).unwrap(),
+                link
             );
         }
         assert_eq!(to_string_streamed(&Psm::SDP), "1");

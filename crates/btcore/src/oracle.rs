@@ -15,12 +15,10 @@
 //! this trait, so swapping a real device back in later only requires a new
 //! oracle implementation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConnectionError;
 
 /// Result of an L2CAP ping (echo request) issued by the detection phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PingOutcome {
     /// The target answered the echo request.
     Answered,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of crash artifact a device produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashKind {
     /// Android tombstone caused by a null-pointer dereference (SIGSEGV with a
     /// near-zero fault address), as in the paper's Fig. 12.
@@ -35,7 +33,7 @@ impl fmt::Display for CrashKind {
 }
 
 /// A synthetic crash dump record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashDump {
     /// What kind of crash produced the dump.
     pub kind: CrashKind,

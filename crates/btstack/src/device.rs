@@ -17,7 +17,6 @@ use btcore::{
 use hci::device::VirtualDevice;
 use l2cap::packet::L2capFrame;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::crashdump::{CrashDump, CrashDumpStore, CrashKind};
@@ -27,7 +26,7 @@ use crate::vendor::Quirks;
 use crate::vuln::{Effect, VulnerabilitySpec};
 
 /// Run-state of a simulated device's Bluetooth subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostStatus {
     /// Bluetooth service is running normally.
     Running,
@@ -38,7 +37,7 @@ pub enum HostStatus {
 }
 
 /// A fired vulnerability, recorded with the time it happened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiredVulnerability {
     /// The specification that fired.
     pub vuln: VulnerabilitySpec,

@@ -1,7 +1,5 @@
 //! Fuzzing configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of an L2Fuzz campaign.
 ///
 /// The defaults correspond to the technique described in the paper; the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// guiding, mutating every field instead of only core fields, dropping the
 /// garbage tail, or using strict instead of generous valid-command
 /// boundaries).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
     /// Number of malformed packets generated per valid command and state
     /// (the `n` of Algorithm 1).

@@ -29,36 +29,8 @@ pub struct VulnerabilityEvidence {
     pub description: String,
 }
 
-impl serde_json::StreamSerialize for VulnerabilityEvidence {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("error", &self.error)
-            .field("ping_failed", &self.ping_failed)
-            .field("crash_dump", &self.crash_dump)
-            .field("description", &self.description)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for VulnerabilityEvidence {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let error = r.key("error")?.value()?;
-        let ping_failed = r.key("ping_failed")?.value()?;
-        let crash_dump = r.key("crash_dump")?.value()?;
-        let description = r.key("description")?.value()?;
-        r.end_object()?;
-        Ok(VulnerabilityEvidence {
-            error,
-            ping_failed,
-            crash_dump,
-            description,
-        })
-    }
-}
-
 /// Verdict for one detection check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectionVerdict {
     /// The target still behaves normally.
     Healthy,

@@ -66,7 +66,7 @@
 //! [`session::L2FuzzSession::run`] by hand.  That wiring now lives behind
 //! [`campaign::Campaign::builder`]:
 //!
-//! * `EventMedium::new` (née `AirMedium::new`) + `register` + `connect` +
+//! * `EventMedium::new` + `register` + `connect` +
 //!   `new_tap` → `.target(profile)` (the builder creates an isolated
 //!   clock, medium, link and tap per target).
 //! * `L2FuzzSession::new(config, clock).run(&mut link, meta, Some(&mut

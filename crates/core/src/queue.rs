@@ -7,11 +7,10 @@
 use hci::medium::LinkHandle;
 use l2cap::command::Command;
 use l2cap::packet::{parse_signaling, SignalingPacket};
-use serde::{Deserialize, Serialize};
 
 /// Whether a queued packet is a normal transition packet or a malformed test
 /// packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Normal packet used for state transition.
     Normal,

@@ -75,7 +75,7 @@ impl FuzzReport {
     /// Serializes the report as pretty-printed JSON (the reproduction's log
     /// file format), written through the streaming writer — the document is
     /// built straight into the output buffer, never as an owned `Value`
-    /// tree, and is byte-identical to what the tree path produced.
+    /// tree.
     ///
     /// # Errors
     /// Kept for API stability; the streaming writer cannot fail for this
@@ -110,80 +110,6 @@ impl FuzzReport {
     /// Total elapsed time as a [`Duration`].
     pub fn elapsed(&self) -> Duration {
         Duration::from_secs(self.elapsed_secs)
-    }
-}
-
-impl serde_json::StreamSerialize for VulnerabilityFinding {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("job", &self.job)
-            .field("command", &self.command)
-            .field("packet_hex", &self.packet_hex)
-            .field("evidence", &self.evidence)
-            .field("elapsed_secs", &self.elapsed_secs)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamSerialize for FuzzReport {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("fuzzer", &self.fuzzer)
-            .field("target", &self.target)
-            .field("scan", &self.scan)
-            .field("states_tested", &self.states_tested)
-            .field("packets_sent", &self.packets_sent)
-            .field("malformed_sent", &self.malformed_sent)
-            .field("findings", &self.findings)
-            .field("elapsed_secs", &self.elapsed_secs)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for VulnerabilityFinding {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let state = r.key("state")?.value()?;
-        let job = r.key("job")?.value()?;
-        let command = r.key("command")?.value()?;
-        let packet_hex = r.key("packet_hex")?.value()?;
-        let evidence = r.key("evidence")?.value()?;
-        let elapsed_secs = r.key("elapsed_secs")?.value()?;
-        r.end_object()?;
-        Ok(VulnerabilityFinding {
-            state,
-            job,
-            command,
-            packet_hex,
-            evidence,
-            elapsed_secs,
-        })
-    }
-}
-
-impl serde_json::StreamDeserialize for FuzzReport {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let fuzzer = r.key("fuzzer")?.value()?;
-        let target = r.key("target")?.value()?;
-        let scan = r.key("scan")?.value()?;
-        let states_tested = r.key("states_tested")?.value()?;
-        let packets_sent = r.key("packets_sent")?.value()?;
-        let malformed_sent = r.key("malformed_sent")?.value()?;
-        let findings = r.key("findings")?.value()?;
-        let elapsed_secs = r.key("elapsed_secs")?.value()?;
-        r.end_object()?;
-        Ok(FuzzReport {
-            fuzzer,
-            target,
-            scan,
-            states_tested,
-            packets_sent,
-            malformed_sent,
-            findings,
-            elapsed_secs,
-        })
     }
 }
 

@@ -177,9 +177,10 @@ impl L2FuzzSession {
 
 /// [`Fuzzer`]-trait adapter over [`L2FuzzSession`], used by every campaign.
 ///
-/// The tool runs sessions back to back inside its [`FuzzCtx`], deriving each
-/// round's seed from the context's per-target seed stream.  Two standing
-/// configurations cover the paper's experiments:
+/// The tool runs sessions back to back inside its
+/// [`FuzzCtx`](crate::FuzzCtx), deriving each round's seed from the
+/// context's per-target seed stream.  Two standing configurations cover the
+/// paper's experiments:
 ///
 /// * [`L2FuzzTool::detection`] — Table VI methodology: repeat campaigns
 ///   (with the out-of-band oracle from the context) until a vulnerability is

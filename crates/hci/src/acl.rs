@@ -7,7 +7,6 @@
 //! packets and reassembled on the other side using the boundary flag.
 
 use btcore::{ByteReader, ByteWriter, CodecError, ConnectionHandle, FrameBuf};
-use serde::{Deserialize, Serialize};
 
 /// HCI packet type byte for ACL data packets.
 pub const ACL_DATA_PACKET_TYPE: u8 = 0x02;
@@ -17,7 +16,7 @@ pub const ACL_DATA_PACKET_TYPE: u8 = 0x02;
 pub const ACL_FRAGMENT_SIZE: usize = 1021;
 
 /// Packet boundary flag of an ACL data packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundaryFlag {
     /// First fragment of a (possibly fragmented) L2CAP frame.
     FirstNonFlushable,
@@ -58,7 +57,7 @@ impl BoundaryFlag {
 /// The carried bytes are a [`FrameBuf`] view: a packet produced by
 /// [`fragment`] slices its chunk out of the parent frame's buffer, sharing
 /// the allocation of a frame too large to be held inline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AclPacket {
     /// Connection handle identifying the baseband link.
     pub handle: ConnectionHandle,

@@ -1,9 +1,8 @@
 //! The event-driven medium: concurrent links over one deterministic radio.
 //!
-//! This module replaces the synchronous `AirMedium` call chain of earlier
-//! revisions.  The radio environment is now a [`Medium`]: a registry of
-//! virtual devices plus an ordered event core ([`btcore::EventScheduler`])
-//! through which every frame exchange passes.  Each established link is a
+//! The radio environment is a [`Medium`]: a registry of virtual devices
+//! plus an ordered event core ([`btcore::EventScheduler`]) through which
+//! every frame exchange passes.  Each established link is a
 //! [`LinkHandle`] — an independent event source with its own virtual clock,
 //! its own loss stream and its own device-side L2CAP acceptor slot — so
 //! several initiators can fuzz *one* device concurrently, including one
@@ -115,8 +114,7 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// A primary-transport link on the medium clock (the compatibility
-    /// shape of the old `AirMedium::connect`).
+    /// A primary-transport link on the medium clock.
     pub fn new(addr: BdAddr, config: LinkConfig, rng: FuzzRng) -> Self {
         LinkSpec {
             addr,

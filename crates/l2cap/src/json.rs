@@ -1,45 +1,12 @@
-//! Streaming JSON serialization for the L2CAP report-path types, mirroring
-//! the derived `serde::Serialize` encodings byte for byte — plus the
-//! matching streaming deserializers for replay without a `Value` tree.
-
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
-
-use crate::code::CommandCode;
-use crate::jobs::Job;
-use crate::packet::L2capFrame;
-use crate::state::ChannelState;
-
-serde_json::stream_unit_enum!(CommandCode, Job, ChannelState);
-serde_json::stream_unit_enum_de!(CommandCode, Job, ChannelState);
-
-impl StreamSerialize for L2capFrame {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("declared_payload_len", &self.declared_payload_len)
-            .field("cid", &self.cid)
-            .field("payload", &self.payload)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for L2capFrame {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let declared_payload_len = r.key("declared_payload_len")?.value()?;
-        let cid = r.key("cid")?.value()?;
-        let payload = r.key("payload")?.value()?;
-        r.end_object()?;
-        Ok(L2capFrame {
-            declared_payload_len,
-            cid,
-            payload,
-        })
-    }
-}
+//! Encoding tests of the L2CAP types reports and traces persist (their
+//! streaming JSON impls are derived).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::code::CommandCode;
+    use crate::jobs::Job;
+    use crate::packet::L2capFrame;
+    use crate::state::ChannelState;
     use btcore::Cid;
     use serde_json::to_string_streamed;
 
@@ -48,25 +15,28 @@ mod tests {
         let frame = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x00, 0x00]);
         assert_eq!(
             to_string_streamed(&frame),
-            serde_json::to_string(&frame).unwrap()
+            r#"{"declared_payload_len":4,"cid":1,"payload":[8,1,0,0]}"#
         );
         for state in ChannelState::ALL {
+            let json = to_string_streamed(&state);
+            assert_eq!(json, format!("\"{state:?}\""));
             assert_eq!(
-                to_string_streamed(&state),
-                serde_json::to_string(&state).unwrap()
+                serde_json::from_str_streamed::<ChannelState>(&json).unwrap(),
+                state
             );
         }
         for code in CommandCode::ALL {
+            let json = to_string_streamed(&code);
+            assert_eq!(json, format!("\"{code:?}\""));
             assert_eq!(
-                to_string_streamed(&code),
-                serde_json::to_string(&code).unwrap()
+                serde_json::from_str_streamed::<CommandCode>(&json).unwrap(),
+                code
             );
         }
         for job in Job::ALL {
-            assert_eq!(
-                to_string_streamed(&job),
-                serde_json::to_string(&job).unwrap()
-            );
+            let json = to_string_streamed(&job);
+            assert_eq!(json, format!("\"{job:?}\""));
+            assert_eq!(serde_json::from_str_streamed::<Job>(&json).unwrap(), job);
         }
     }
 

@@ -46,7 +46,7 @@ pub mod command;
 pub mod consts;
 pub mod fields;
 pub mod jobs;
-pub mod json;
+mod json;
 pub mod options;
 pub mod packet;
 pub mod ranges;

@@ -7,13 +7,12 @@
 //! configuration requests are spec-conformant.
 
 use btcore::{ByteReader, ByteWriter, CodecError};
-use serde::{Deserialize, Serialize};
 
 /// Default signalling MTU advertised in configuration requests (bytes).
 pub const DEFAULT_MTU: u16 = 672;
 
 /// A single configuration option TLV.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigOption {
     /// Maximum Transmission Unit (type `0x01`).
     Mtu(
@@ -54,7 +53,7 @@ pub enum ConfigOption {
 }
 
 /// Quality of Service flow specification (option type `0x03`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QoSFlowSpec {
     /// Flags (reserved, normally zero).
     pub flags: u8,
@@ -87,7 +86,7 @@ impl Default for QoSFlowSpec {
 }
 
 /// Retransmission and flow control option (option type `0x04`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetransmissionConfig {
     /// Mode: 0 = basic, 1 = retransmission, 2 = flow control, 3 = enhanced
     /// retransmission, 4 = streaming.

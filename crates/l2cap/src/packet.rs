@@ -131,7 +131,7 @@ impl L2capFrame {
 /// a packet — e.g. into a queue outcome — never allocates, and
 /// [`SignalingPacket::parse_buf`] takes the data as a view into the parsed
 /// frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalingPacket {
     /// The packet identifier matching responses to requests.
     pub identifier: Identifier,

@@ -27,7 +27,8 @@ use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde_json::{JsonStreamWriter, StreamDeserialize};
+use sniffer::Trace;
 
 use crate::corpus::{ClusterKey, CorpusStore, Exemplar};
 use crate::digest::{trace_digest, Fnv64};
@@ -54,9 +55,6 @@ pub enum JobOutcome {
     TimedOut,
 }
 
-serde_json::stream_unit_enum!(JobOutcome);
-serde_json::stream_unit_enum_de!(JobOutcome);
-
 impl JobOutcome {
     /// Stable tag for digesting (the enum's wire identity).
     fn digest_tag(self) -> u64 {
@@ -71,7 +69,7 @@ impl JobOutcome {
 /// What one finished job boiled down to.  Everything here derives from the
 /// virtual clock and the seeded RNG streams — no wall-clock anywhere — so
 /// two runs of the same job produce identical summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobSummary {
     /// Sweep-wide job index (target-major).
     pub index: usize,
@@ -103,61 +101,6 @@ pub struct JobSummary {
     pub outcome: JobOutcome,
     /// Why the job failed or timed out (`None` for completed jobs).
     pub failure: Option<String>,
-}
-
-impl StreamSerialize for JobSummary {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("index", &self.index)
-            .field("target", &self.target)
-            .field("seed", &self.seed)
-            .field("vulnerable", &self.vulnerable)
-            .field("findings", &self.findings)
-            .field("packets_sent", &self.packets_sent)
-            .field("elapsed_secs", &self.elapsed_secs)
-            .field("report_digest", &self.report_digest)
-            .field("trace_digest", &self.trace_digest)
-            .field("coverage_signature", &self.coverage_signature)
-            .field("cluster", &self.cluster)
-            .field("outcome", &self.outcome)
-            .field("failure", &self.failure)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for JobSummary {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let index = r.key("index")?.value()?;
-        let target = r.key("target")?.value()?;
-        let seed = r.key("seed")?.value()?;
-        let vulnerable = r.key("vulnerable")?.value()?;
-        let findings = r.key("findings")?.value()?;
-        let packets_sent = r.key("packets_sent")?.value()?;
-        let elapsed_secs = r.key("elapsed_secs")?.value()?;
-        let report_digest = r.key("report_digest")?.value()?;
-        let trace_digest = r.key("trace_digest")?.value()?;
-        let coverage_signature = r.key("coverage_signature")?.value()?;
-        let cluster = r.key("cluster")?.value()?;
-        let outcome = r.key("outcome")?.value()?;
-        let failure = r.key("failure")?.value()?;
-        r.end_object()?;
-        Ok(JobSummary {
-            index,
-            target,
-            seed,
-            vulnerable,
-            findings,
-            packets_sent,
-            elapsed_secs,
-            report_digest,
-            trace_digest,
-            coverage_signature,
-            cluster,
-            outcome,
-            failure,
-        })
-    }
 }
 
 /// One committed shard: its jobs plus the digest that pins them.
@@ -359,6 +302,12 @@ impl Checkpoint {
             return Err(malformed(path, 1, "the header line is missing"));
         };
         let Header { spec, spec_digest } = parse_line(path, n, header)?;
+        // What `SweepSpec::new` and `with_shard_size` assert; the folds below
+        // divide by the shard size.
+        if spec.targets.is_empty() || spec.seeds.is_empty() || spec.shard_size == 0 {
+            let msg = "the spec needs a target, a seed and a shard size of at least one";
+            return Err(malformed(path, n, msg));
+        }
         let mut checkpoint = Checkpoint {
             spec,
             spec_digest,
@@ -379,7 +328,17 @@ impl Checkpoint {
     /// must be the digest of those jobs, so an edited summary cannot ride
     /// on the digest it was committed under.
     fn fold_shard(&mut self, line: ShardLine, path: &Path, n: usize) -> Result<(), ServiceError> {
-        let ShardLine { record, clusters } = line;
+        let ShardLine {
+            shard,
+            digest,
+            jobs,
+            clusters,
+        } = line;
+        let record = ShardRecord {
+            shard,
+            digest,
+            jobs,
+        };
         let committed = self.shards.len();
         if record.shard != committed {
             let msg = format!("shard {} follows {committed} shard(s)", record.shard);
@@ -410,7 +369,7 @@ impl Checkpoint {
                 let msg = format!("job {} opens a cluster the line does not store", job.index);
                 return Err(malformed(path, n, msg));
             };
-            let (expected, found) = (job.trace_digest, trace_digest(&opened.exemplar.trace));
+            let (expected, found) = (job.trace_digest, trace_digest(&opened.exemplar_trace));
             if found != expected {
                 return Err(ServiceError::ExemplarMismatch {
                     job: job.index,
@@ -418,7 +377,12 @@ impl Checkpoint {
                     found,
                 });
             }
-            self.corpus.open(key, job.index, expected, opened.exemplar);
+            let exemplar = Exemplar {
+                vuln_ids: opened.vuln_ids,
+                description: opened.description,
+                trace: opened.exemplar_trace,
+            };
+            self.corpus.open(key, job.index, expected, exemplar);
         }
         if let Some(stray) = clusters.next() {
             let msg = format!(
@@ -433,72 +397,31 @@ impl Checkpoint {
 }
 
 /// The journal's first line, as read back.
+#[derive(Deserialize)]
 struct Header {
     spec: SweepSpec,
     spec_digest: u64,
 }
 
-impl StreamDeserialize for Header {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let spec = r.key("spec")?.value()?;
-        let spec_digest = r.key("spec_digest")?.value()?;
-        r.end_object()?;
-        Ok(Header { spec, spec_digest })
-    }
-}
-
-/// A shard line of the journal, as read back.
+/// A shard line of the journal, as read back: the [`ShardRecord`] fields,
+/// then the clusters the shard opened, in opening order.
+#[derive(Deserialize)]
 struct ShardLine {
-    record: ShardRecord,
-    /// The clusters the shard opened, in opening order.
+    shard: usize,
+    digest: u64,
+    jobs: Vec<JobSummary>,
     clusters: Vec<StoredCluster>,
 }
 
-impl StreamDeserialize for ShardLine {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let shard = r.key("shard")?.value()?;
-        let digest = r.key("digest")?.value()?;
-        let jobs = r.key("jobs")?.value()?;
-        let clusters = r.key("clusters")?.value()?;
-        r.end_object()?;
-        Ok(ShardLine {
-            record: ShardRecord {
-                shard,
-                digest,
-                jobs,
-            },
-            clusters,
-        })
-    }
-}
-
 /// A cluster as stored on the line of the shard that opened it: the
-/// exemplar job and what it donated.  The members replay from the job
-/// summaries.
+/// exemplar job and what it donated ([`Exemplar`]).  The members replay
+/// from the job summaries.
+#[derive(Deserialize)]
 struct StoredCluster {
     exemplar_job: usize,
-    exemplar: Exemplar,
-}
-
-impl StreamDeserialize for StoredCluster {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let exemplar_job = r.key("exemplar_job")?.value()?;
-        let vuln_ids = r.key("vuln_ids")?.value()?;
-        let description = r.key("description")?.value()?;
-        let trace = r.key("exemplar_trace")?.value()?;
-        r.end_object()?;
-        Ok(StoredCluster {
-            exemplar_job,
-            exemplar: Exemplar {
-                vuln_ids,
-                description,
-                trace,
-            },
-        })
-    }
+    vuln_ids: Vec<String>,
+    description: String,
+    exemplar_trace: Trace,
 }
 
 /// Parses line `n` of the journal at `path`.
@@ -511,7 +434,7 @@ fn parse_line<T: StreamDeserialize>(path: &Path, n: usize, line: &[u8]) -> Resul
 fn malformed(path: &Path, n: usize, msg: impl Display) -> ServiceError {
     ServiceError::Json {
         path: path.display().to_string(),
-        source: serde::DeError::new(format!("line {n}: {msg}")).into(),
+        source: serde_json::Error::new(format!("line {n}: {msg}")),
     }
 }
 
@@ -525,7 +448,6 @@ fn io_error(path: &Path, source: std::io::Error) -> ServiceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sniffer::Trace;
 
     const KEY: ClusterKey = ClusterKey {
         crash_digest: 9,
@@ -621,9 +543,11 @@ mod tests {
             JobOutcome::Failed,
             JobOutcome::TimedOut,
         ] {
+            let json = serde_json::to_string_streamed(&outcome);
+            assert_eq!(json, format!("\"{outcome:?}\""));
             assert_eq!(
-                serde_json::to_string_streamed(&outcome),
-                serde_json::to_string(&outcome).unwrap()
+                serde_json::from_str_streamed::<JobOutcome>(&json).unwrap(),
+                outcome
             );
         }
     }
@@ -681,6 +605,11 @@ mod tests {
                 "{journal}{}",
                 lines[2].replace(r#""shard":1,"#, r#""shard":2,"#)
             ),
+            // Header specs `SweepSpec` cannot build: shard size zero (with
+            // shard lines to fold), no targets, no seeds.
+            journal.replace(r#""shard_size":2,"#, r#""shard_size":0,"#),
+            lines[0].replace(r#""targets":["D2"]"#, r#""targets":[]"#),
+            lines[0].replace(r#""seeds":[1,2,3,4]"#, r#""seeds":[]"#),
         ];
         for case in cases {
             std::fs::write(&path, &case).unwrap();

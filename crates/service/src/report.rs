@@ -4,7 +4,8 @@
 //! resumed sweep and an uninterrupted one produce **byte-identical** report
 //! JSON — the property the kill/resume tests pin via [`ServiceReport::digest`].
 
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde::{Deserialize, Serialize};
+use serde_json::Error;
 
 use crate::checkpoint::{Checkpoint, JobSummary};
 use crate::corpus::CorpusStore;
@@ -12,7 +13,7 @@ use crate::digest::digest_bytes;
 use crate::spec::SweepSpec;
 
 /// Everything a finished sweep produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// The sweep definition.
     pub spec: SweepSpec,
@@ -89,26 +90,5 @@ impl ServiceReport {
             line.push_str(&format!(" ({failed} quarantined)"));
         }
         line
-    }
-}
-
-impl StreamSerialize for ServiceReport {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("spec", &self.spec)
-            .field("jobs", &self.jobs)
-            .field("corpus", &self.corpus)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for ServiceReport {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let spec = r.key("spec")?.value()?;
-        let jobs = r.key("jobs")?.value()?;
-        let corpus = r.key("corpus")?.value()?;
-        r.end_object()?;
-        Ok(ServiceReport { spec, jobs, corpus })
     }
 }

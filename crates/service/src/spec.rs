@@ -8,7 +8,7 @@
 //! and of checkpoint commit.
 
 use btstack::ProfileId;
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde::{Deserialize, Serialize};
 
 use crate::digest::Fnv64;
 
@@ -16,7 +16,7 @@ use crate::digest::Fnv64;
 /// sharded.  Everything the service does is a pure function of this spec
 /// plus the campaign determinism guarantees, which is what makes
 /// checkpoints portable across processes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Human-readable sweep name (lands in checkpoints and reports).
     pub name: String,
@@ -156,40 +156,6 @@ impl SweepSpec {
         h.write_u64(self.shard_size as u64);
         h.write_u64(self.watchdog_secs.unwrap_or(u64::MAX));
         h.finish()
-    }
-}
-
-impl StreamSerialize for SweepSpec {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("name", &self.name)
-            .field("targets", &self.targets)
-            .field("seeds", &self.seeds)
-            .field("budget_packets", &self.budget_packets)
-            .field("shard_size", &self.shard_size)
-            .field("watchdog_secs", &self.watchdog_secs)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for SweepSpec {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let name = r.key("name")?.value()?;
-        let targets = r.key("targets")?.value()?;
-        let seeds = r.key("seeds")?.value()?;
-        let budget_packets = r.key("budget_packets")?.value()?;
-        let shard_size = r.key("shard_size")?.value()?;
-        let watchdog_secs = r.key("watchdog_secs")?.value()?;
-        r.end_object()?;
-        Ok(SweepSpec {
-            name,
-            targets,
-            seeds,
-            budget_packets,
-            shard_size,
-            watchdog_secs,
-        })
     }
 }
 

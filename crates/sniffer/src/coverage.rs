@@ -16,12 +16,11 @@ use l2cap::code::CommandCode;
 use l2cap::command::Command;
 use l2cap::packet::parse_signaling;
 use l2cap::state::{ChannelState, StateMachine};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::Trace;
 
 /// The set of L2CAP states a fuzzer's trace exercised on the target.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateCoverage {
     covered: BTreeSet<ChannelState>,
 }

@@ -7,13 +7,12 @@
 //! * **pps** — transmitted packets per (virtual) second.
 
 use hci::link::Direction;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::{is_malformed, is_rejection};
 use crate::trace::Trace;
 
 /// One point of the cumulative Fig. 8 / Fig. 9 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CumulativePoint {
     /// Number of packets considered so far (x axis).
     pub packets: usize,
@@ -23,7 +22,7 @@ pub struct CumulativePoint {
 }
 
 /// Summary of a fuzzing trace in the paper's evaluation terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSummary {
     /// Packets transmitted by the fuzzer.
     pub transmitted: usize,

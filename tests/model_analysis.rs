@@ -174,6 +174,7 @@ fn analyzer_certifies_the_repository_clean() {
     assert!(report.is_clean(), "{:#?}", report.problems());
 
     let json = serde_json::to_string_streamed(&report);
-    let value: serde_json::Value = serde_json::from_str(&json).expect("report is valid JSON");
+    let value: serde_json::Value =
+        serde_json::from_str_streamed(&json).expect("report is valid JSON");
     assert_eq!(value.get("clean"), Some(&serde_json::Value::Bool(true)));
 }

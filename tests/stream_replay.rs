@@ -6,6 +6,8 @@
 //! outputs, not synthetic fixtures, so the round trip covers every field a
 //! production run actually populates.
 
+use feedback::{CorpusHub, FeedbackCampaignExt, FeedbackConfig};
+use l2fuzz_repro::analysis::{Allowlist, AnalysisReport};
 use l2fuzz_repro::btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz_repro::l2fuzz::campaign::Campaign;
 use l2fuzz_repro::l2fuzz::report::FuzzReport;
@@ -36,24 +38,30 @@ fn finished_sweep(service: impl FnOnce(SweepService) -> SweepService) -> SweepOu
 
 #[test]
 fn fuzz_report_replays_byte_identically_through_the_reader() {
-    let outcome = Campaign::builder()
-        .target(DeviceProfile::table5(ProfileId::D2))
-        .seed(0xD5EED)
-        .run()
-        .expect("campaign runs")
-        .into_single();
+    // A vulnerable target (findings, crash dump) and a hardened one (the
+    // empty findings array).
+    for (profile, seed) in [(ProfileId::D2, 0xD5EED), (ProfileId::D4, 3)] {
+        let report = Campaign::builder()
+            .target(DeviceProfile::table5(profile))
+            .seed(seed)
+            .run()
+            .expect("campaign runs")
+            .into_single()
+            .report;
+        assert_eq!(report.vulnerable(), profile == ProfileId::D2);
 
-    let compact = to_string_streamed(&outcome.report);
-    let back: FuzzReport = from_str_streamed(&compact).expect("report parses");
-    assert_eq!(back, outcome.report);
-    assert_eq!(to_string_streamed(&back), compact);
+        let compact = to_string_streamed(&report);
+        let back: FuzzReport = from_str_streamed(&compact).expect("report parses");
+        assert_eq!(back, report);
+        assert_eq!(to_string_streamed(&back), compact);
 
-    // Pretty output parses back to the same value and re-serializes to the
-    // same pretty bytes — whitespace handling is total.
-    let pretty = to_string_pretty_streamed(&outcome.report);
-    let from_pretty: FuzzReport = from_str_streamed(&pretty).expect("pretty parses");
-    assert_eq!(from_pretty, outcome.report);
-    assert_eq!(to_string_pretty_streamed(&from_pretty), pretty);
+        // Pretty output parses back to the same value and re-serializes to
+        // the same pretty bytes — whitespace handling is total.
+        let pretty = to_string_pretty_streamed(&report);
+        let from_pretty: FuzzReport = from_str_streamed(&pretty).expect("pretty parses");
+        assert_eq!(from_pretty, report);
+        assert_eq!(to_string_pretty_streamed(&from_pretty), pretty);
+    }
 }
 
 #[test]
@@ -69,10 +77,13 @@ fn trace_replays_byte_identically_through_the_reader() {
         "need real traffic for a meaningful round trip"
     );
 
-    let json = outcome.trace.to_json();
-    let back = Trace::from_json(&json).expect("trace parses");
-    assert_eq!(back, outcome.trace);
-    assert_eq!(back.to_json(), json);
+    // The empty trace exercises the lazy `[]` collapsing.
+    for trace in [outcome.trace, Trace::new()] {
+        let json = trace.to_json();
+        let back = Trace::from_json(&json).expect("trace parses");
+        assert_eq!(back, trace);
+        assert_eq!(back.to_json(), json);
+    }
 }
 
 #[test]
@@ -131,10 +142,10 @@ fn corpus_and_report_replay_byte_identically_through_the_reader() {
 }
 
 /// Golden byte pins: the FNV-1a digests of the exact bytes of the pretty
-/// and compact service report, the checkpoint journal and one campaign's
-/// trace.  They are literals, not a comparison with a second writer, so
-/// they hold every artifact's bytes still while the writer underneath is
-/// reworked — and after the tree writer is gone.
+/// and compact service report, the checkpoint journal, one campaign's
+/// trace, one feedback campaign's corpus and the analyzer's report.  They
+/// are literals, not a comparison with a second writer, so they hold every
+/// artifact's bytes still while the code that renders them is reworked.
 #[test]
 fn rendered_artifacts_match_their_golden_digests() {
     let dir = std::env::temp_dir().join("l2fuzz-stream-replay");
@@ -157,6 +168,16 @@ fn rendered_artifacts_match_their_golden_digests() {
         .expect("campaign runs")
         .into_single()
         .trace;
+    let hub = CorpusHub::new();
+    Campaign::builder()
+        .target(DeviceProfile::table5(ProfileId::D4))
+        .feedback(FeedbackConfig::default().with_hub(hub.clone()))
+        .seed(0xC0FFEE)
+        .run()
+        .expect("feedback campaign runs");
+    let corpus = hub.merged();
+    assert!(!corpus.is_empty(), "a hardened-target run retains entries");
+    let analysis = AnalysisReport::run(&Allowlist::default(), None);
 
     let pins = [
         (
@@ -174,6 +195,16 @@ fn rendered_artifacts_match_their_golden_digests() {
             "D4 seed 7 trace",
             trace.to_json().into_bytes(),
             0xb6f0_4e76_ba08_325b,
+        ),
+        (
+            "D4 feedback corpus",
+            corpus.to_json().into_bytes(),
+            0x453e_a422_e5bb_b2b6,
+        ),
+        (
+            "analysis report",
+            to_string_streamed(&analysis).into_bytes(),
+            0xd42d_afa9_8128_58d3,
         ),
     ];
     for (artifact, bytes, pinned) in pins {
