@@ -4,10 +4,7 @@
 //! per injected packet; a tap allocates only to grow; counted per thread, so
 //! its tests cannot see each other's allocations), `tests/campaign_allocs.rs`
 //! (at most 3 allocations per packet over whole budget campaigns) and
-//! `tests/render_allocs.rs` (no allocation per rendered record) — and the
-//! `perf_report` bench binary (which *reports* allocs/packet into
-//! `BENCH_PR10.json`), so the enforced budgets and the tracked baseline are
-//! measured by the same code.
+//! `tests/render_allocs.rs` (no allocation per rendered record).
 //!
 //! Install it in a binary or test crate with:
 //!

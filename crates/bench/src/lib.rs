@@ -1,12 +1,9 @@
-//! Shared experiment harness for the benchmark binaries and Criterion
-//! benches.
+//! Shared experiment harness for the evaluation binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
 //! binary in `src/bin/`; the functions here do the actual work so the
-//! binaries stay thin and the Criterion benches can reuse the same code
-//! paths.  All of them drive fuzzing through the unified
-//! [`l2fuzz::campaign::Campaign`] API — no experiment wires an `AirMedium`
-//! by hand anymore.
+//! binaries stay thin.  All of them drive fuzzing through the unified
+//! [`l2fuzz::campaign::Campaign`] API.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,11 +103,9 @@ fn run_comparison_tool(
     }
 }
 
-/// Serial variant of [`run_comparison`]: the four campaigns run back to back
-/// on the calling thread.  This is what the `packet_throughput` Criterion
-/// bench and the `perf_report` baseline measure, so the tracked numbers
-/// reflect per-packet pipeline cost alone — never thread-level parallelism.
-pub fn run_comparison_serial(budget: usize, seed: u64) -> Vec<ComparisonRun> {
+/// Single-core path of [`run_comparison`]: the four campaigns run back to
+/// back on the calling thread.
+fn run_comparison_serial(budget: usize, seed: u64) -> Vec<ComparisonRun> {
     COMPARISON_TOOLS
         .into_iter()
         .enumerate()
@@ -126,8 +121,7 @@ pub fn run_comparison_serial(budget: usize, seed: u64) -> Vec<ComparisonRun> {
 /// The four campaigns are fully isolated — own clock, own air medium, own
 /// RNG streams — so on a multi-core host they run concurrently, one worker
 /// thread per tool, and the per-tool traces and metrics are bit-for-bit what
-/// [`run_comparison_serial`] produces.  Results come back in
-/// [`COMPARISON_TOOLS`] order.
+/// a serial run produces.  Results come back in [`COMPARISON_TOOLS`] order.
 pub fn run_comparison(budget: usize, seed: u64) -> Vec<ComparisonRun> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -59,7 +59,7 @@ use btcore::{BtError, DeviceMeta, LinkType, SimClock};
 use btstack::device::{share, DeviceOracle, SharedSimulatedDevice};
 use btstack::profiles::DeviceProfile;
 use hci::link::{new_tap, LinkConfig, SharedTap};
-use hci::medium::{EventGate, EventMedium, LinkHandle, LinkSpec, Medium};
+use hci::medium::{EventGate, EventMedium, LinkHandle, LinkSpec};
 use parking_lot::Mutex;
 use sniffer::Trace;
 
@@ -203,7 +203,7 @@ pub struct CampaignPlan {
     spawner: FuzzerSpawner,
     budget: TxBudget,
     oracle: OraclePolicy,
-    link_config: LinkConfig,
+    faults: FaultPlan,
     seed: u64,
     auto_restart: bool,
     link_plan: LinkPlan,
@@ -352,7 +352,7 @@ impl CampaignPlan {
             };
             let mut spec = LinkSpec::new(
                 profile.addr,
-                self.link_config,
+                LinkConfig::default().with_faults(self.faults),
                 FuzzRng::seed_from(initiator_seed ^ 0xA5A5),
             )
             .on(link_type);
@@ -431,7 +431,7 @@ impl CampaignPlan {
                 OraclePolicy::OutOfBand => Some(ScheduledOracle {
                     inner: DeviceOracle::new(device.clone()),
                     gate: env.link.event_gate(),
-                    dump_faults: DumpFaults::from_plan(&self.link_config.faults, env.seed),
+                    dump_faults: DumpFaults::from_plan(&self.faults, env.seed),
                 }),
                 OraclePolicy::None => None,
             };
@@ -873,7 +873,7 @@ pub struct CampaignBuilder {
     spawner: Option<FuzzerSpawner>,
     budget: TxBudget,
     oracle: OraclePolicy,
-    link_config: LinkConfig,
+    faults: FaultPlan,
     seed: u64,
     auto_restart: bool,
     executor: Box<dyn CampaignExecutor>,
@@ -890,7 +890,7 @@ impl Default for CampaignBuilder {
             spawner: None,
             budget: TxBudget::unlimited(),
             oracle: OraclePolicy::OutOfBand,
-            link_config: LinkConfig::default(),
+            faults: FaultPlan::none(),
             seed: FuzzConfig::default().seed,
             auto_restart: false,
             executor: Box::new(SerialExecutor),
@@ -949,13 +949,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Sets the physical-layer link behaviour (default:
-    /// [`LinkConfig::default`]).
-    pub fn link_config(mut self, config: LinkConfig) -> Self {
-        self.link_config = config;
-        self
-    }
-
     /// Sets the campaign seed; every per-target RNG stream derives from it.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -973,7 +966,7 @@ impl CampaignBuilder {
     /// plan also arms [`RetryPolicy::lossy_link`] so the drivers tolerate
     /// the faults they are being dealt.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.link_config.faults = plan;
+        self.faults = plan;
         self
     }
 
@@ -1043,7 +1036,7 @@ impl CampaignBuilder {
                 Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)) as Box<dyn Fuzzer>
             })
         });
-        let retry = self.retry.unwrap_or(if self.link_config.faults.is_none() {
+        let retry = self.retry.unwrap_or(if self.faults.is_none() {
             RetryPolicy::none()
         } else {
             RetryPolicy::lossy_link()
@@ -1054,7 +1047,7 @@ impl CampaignBuilder {
                 spawner,
                 budget: self.budget,
                 oracle: self.oracle,
-                link_config: self.link_config,
+                faults: self.faults,
                 seed: self.seed,
                 auto_restart: self.auto_restart,
                 link_plan: self.link_plan,

@@ -199,7 +199,7 @@ mod tests {
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::device::VirtualDevice;
     use hci::link::LinkConfig;
-    use hci::medium::{EventMedium, LinkHandle, Medium};
+    use hci::medium::{EventMedium, LinkHandle};
     use l2cap::command::ConnectionRequest;
     use l2cap::packet::SignalingPacket;
 

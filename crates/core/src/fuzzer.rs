@@ -122,7 +122,7 @@ impl<'a> FuzzCtx<'a> {
     ///
     /// The seed is mixed through [`btcore::splitmix64`] so no label collides
     /// with the raw per-target seed (which drives the simulated device's own
-    /// RNG) or the link's loss stream.
+    /// RNG) or the link's fault stream.
     pub fn rng(&self, label: u64) -> FuzzRng {
         FuzzRng::seed_from(self.stream_seed(label))
     }
@@ -210,7 +210,7 @@ mod tests {
         use btstack::device::share;
         use btstack::profiles::{DeviceProfile, ProfileId};
         use hci::link::{new_tap, LinkConfig};
-        use hci::medium::{EventMedium, Medium};
+        use hci::medium::EventMedium;
 
         let clock = SimClock::new();
         let mut air = EventMedium::new(clock.clone());

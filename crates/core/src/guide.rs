@@ -404,7 +404,7 @@ mod tests {
     use btstack::device::share;
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::link::LinkConfig;
-    use hci::medium::{EventMedium, Medium};
+    use hci::medium::EventMedium;
 
     fn link_to(id: ProfileId) -> (btstack::device::SharedSimulatedDevice, LinkHandle) {
         let clock = SimClock::new();

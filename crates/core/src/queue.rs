@@ -154,7 +154,7 @@ mod tests {
     use btstack::device::share;
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::link::LinkConfig;
-    use hci::medium::{EventMedium, Medium};
+    use hci::medium::EventMedium;
     use l2cap::command::{ConnectionRequest, EchoRequest};
 
     fn link() -> LinkHandle {

@@ -209,7 +209,7 @@ mod tests {
     use btcore::{BdAddr, FuzzRng, SimClock};
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::link::LinkConfig;
-    use hci::medium::{EventMedium, Medium};
+    use hci::medium::EventMedium;
     use l2cap::packet::signaling_frame;
 
     #[test]

@@ -296,7 +296,7 @@ mod tests {
     use btstack::device::{share, DeviceOracle, SharedSimulatedDevice};
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::link::LinkConfig;
-    use hci::medium::{EventMedium, Medium};
+    use hci::medium::EventMedium;
 
     fn setup(
         id: ProfileId,

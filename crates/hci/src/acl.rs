@@ -161,7 +161,8 @@ pub fn fragment(handle: ConnectionHandle, l2cap_bytes: &FrameBuf) -> Vec<AclPack
 ///
 /// # Errors
 /// Returns a [`CodecError`] if the sequence is empty, does not start with a
-/// first-fragment, or contains an unexpected first-fragment in the middle.
+/// first-fragment, contains an unexpected first-fragment in the middle, or
+/// mixes fragments of different connection handles.
 pub fn reassemble(packets: &[AclPacket]) -> Result<FrameBuf, CodecError> {
     let first = packets.first().ok_or(CodecError::UnexpectedEnd {
         wanted: 1,
@@ -178,6 +179,12 @@ pub fn reassemble(packets: &[AclPacket]) -> Result<FrameBuf, CodecError> {
             return Err(CodecError::InvalidValue {
                 field: "packet_boundary_flag".to_owned(),
                 value: u64::from(p.boundary.bits()),
+            });
+        }
+        if p.handle != first.handle {
+            return Err(CodecError::InvalidValue {
+                field: "connection_handle".to_owned(),
+                value: u64::from(p.handle.value()),
             });
         }
     }
@@ -301,5 +308,12 @@ mod tests {
             },
         ];
         assert!(reassemble(&two_firsts).is_err());
+        // A continuation from another link must not splice into this frame.
+        let mut foreign = fragment(ConnectionHandle(1), &FrameBuf::from(vec![0x5A; 3000]));
+        foreign[1].handle = ConnectionHandle(2);
+        assert!(matches!(
+            reassemble(&foreign),
+            Err(CodecError::InvalidValue { field, value: 2 }) if field == "connection_handle"
+        ));
     }
 }

@@ -4,18 +4,17 @@
 //! lost, duplicated or corrupted by interference, latency wanders, responses
 //! arrive out of order, and a busy target can go silent for a while.  A
 //! [`FaultPlan`] models those behaviours on a virtual link.  Every fault
-//! decision draws from a per-event RNG derived from the scheduler ticket —
-//! the same mechanism as the legacy loss stream, but in its own seed domain
-//! — so a faulty schedule replays bit for bit at any initiator count, and
-//! [`FaultPlan::none`] leaves the packet streams byte-identical to a
-//! fault-free medium.
+//! decision draws from a per-event RNG derived from the scheduler ticket and
+//! the link seed, so a faulty schedule replays bit for bit at any initiator
+//! count, and [`FaultPlan::none`] leaves the packet streams byte-identical
+//! to a fault-free medium.
 
 use btcore::FuzzRng;
 use l2cap::packet::L2capFrame;
 use std::fmt;
 
-/// Seed-domain separator for the fault stream, so fault decisions never
-/// perturb the legacy `loss_probability` stream of the same event.
+/// Seed-domain separator mixed into every per-event fault seed.  Its value
+/// is part of every faulty schedule: changing it re-seeds them all.
 pub(crate) const FAULT_DOMAIN: u64 = 0xFA17_0000_0000_0001;
 
 /// Fault behaviour of a virtual link.
@@ -28,8 +27,8 @@ pub(crate) const FAULT_DOMAIN: u64 = 0xFA17_0000_0000_0001;
 /// without the fault layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
-    /// Probability that a transmitted frame is dropped on the air, in
-    /// addition to the link's base `loss_probability`.
+    /// Probability that a transmitted frame is dropped on the air: the
+    /// target never sees it and the initiator observes a timeout.
     pub loss: f64,
     /// Probability that a delivered frame reaches the target twice.
     pub duplicate: f64,
@@ -91,7 +90,7 @@ impl FaultPlan {
             && self.dump_read_failure == 0.0
     }
 
-    /// Sets the extra frame-loss probability.
+    /// Sets the frame-loss probability.
     pub fn with_loss(mut self, p: f64) -> Self {
         self.loss = p;
         self

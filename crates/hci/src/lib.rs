@@ -6,17 +6,16 @@
 //!
 //! * [`acl`] — HCI ACL data packets (the outermost layer of the paper's
 //!   Fig. 3 frame) with fragmentation and reassembly of L2CAP frames.
-//! * [`medium`] — the event-driven [`medium::Medium`]:
-//!   [`medium::EventMedium`] is a registry of virtual devices that can be
-//!   discovered by inquiry and connected to, producing a
-//!   [`medium::LinkHandle`] per link.  Several links to one device fire
-//!   their exchanges through one deterministic event scheduler, so
-//!   concurrent initiators interleave reproducibly.
+//! * [`medium`] — the event-driven [`medium::EventMedium`]: a registry of
+//!   virtual devices that can be discovered by inquiry and connected to,
+//!   producing a [`medium::LinkHandle`] per link.  Several links to one
+//!   device fire their exchanges through one deterministic event scheduler,
+//!   so concurrent initiators interleave reproducibly.
 //! * [`device`] — the [`device::VirtualDevice`] trait a simulated target
 //!   implements (the `btstack` crate provides vendor-flavoured
 //!   implementations).
-//! * [`link`] — link configuration (latency, loss) and packet taps used by
-//!   the sniffer.
+//! * [`link`] — link configuration (latency, transmit overhead, fault
+//!   plan) and packet taps used by the sniffer.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]): loss,
 //!   duplication, corruption, jitter, reordering and stalls, all derived
 //!   from the per-event seeded RNG so faulty schedules replay bit for bit.
@@ -24,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use hci::medium::{EventMedium, Medium};
+//! use hci::medium::EventMedium;
 //! use hci::device::EchoDevice;
 //! use btcore::{BdAddr, SimClock};
 //!
@@ -48,4 +47,4 @@ pub use acl::{AclPacket, BoundaryFlag, ACL_FRAGMENT_SIZE};
 pub use device::{SharedDevice, VirtualDevice};
 pub use fault::{FaultPlan, WatchdogExpired};
 pub use link::{Direction, LinkConfig, PacketRecord, SharedTap};
-pub use medium::{EventMedium, LinkHandle, LinkSpec, Medium};
+pub use medium::{EventMedium, LinkHandle, LinkSpec};

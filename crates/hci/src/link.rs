@@ -46,10 +46,6 @@ pub fn new_tap() -> SharedTap {
 pub struct LinkConfig {
     /// One-way latency added per frame, in microseconds of virtual time.
     pub latency_micros: u64,
-    /// Probability that a transmitted frame is lost before reaching the
-    /// target (the response is then empty, and the fuzzer observes a
-    /// timeout).
-    pub loss_probability: f64,
     /// Virtual time charged on the initiator side for building and queueing a
     /// frame, in microseconds.  Together with the target's processing cost
     /// this determines the packets-per-second figures of §IV-C.
@@ -67,7 +63,6 @@ impl Default for LinkConfig {
         // (524 pps).
         LinkConfig {
             latency_micros: 400,
-            loss_probability: 0.0,
             tx_overhead_micros: 800,
             faults: FaultPlan::none(),
         }
@@ -79,17 +74,8 @@ impl LinkConfig {
     pub fn ideal() -> Self {
         LinkConfig {
             latency_micros: 0,
-            loss_probability: 0.0,
             tx_overhead_micros: 0,
             faults: FaultPlan::none(),
-        }
-    }
-
-    /// A lossy link dropping the given fraction of transmitted frames.
-    pub fn lossy(loss_probability: f64) -> Self {
-        LinkConfig {
-            loss_probability,
-            ..LinkConfig::default()
         }
     }
 
@@ -120,17 +106,17 @@ mod tests {
     #[test]
     fn default_link_is_reliable_and_slowish() {
         let cfg = LinkConfig::default();
-        assert_eq!(cfg.loss_probability, 0.0);
+        assert!(cfg.faults.is_none());
         assert!(cfg.latency_micros > 0);
         assert!(cfg.tx_overhead_micros > 0);
     }
 
     #[test]
-    fn ideal_and_lossy_constructors() {
-        assert_eq!(LinkConfig::ideal().latency_micros, 0);
-        let lossy = LinkConfig::lossy(0.25);
-        assert_eq!(lossy.loss_probability, 0.25);
-        assert_eq!(lossy.latency_micros, LinkConfig::default().latency_micros);
+    fn ideal_link_costs_nothing() {
+        let cfg = LinkConfig::ideal();
+        assert_eq!(cfg.latency_micros, 0);
+        assert_eq!(cfg.tx_overhead_micros, 0);
+        assert!(cfg.faults.is_none());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The event-driven medium: concurrent links over one deterministic radio.
 //!
-//! The radio environment is a [`Medium`]: a registry of virtual devices
-//! plus an ordered event core ([`btcore::EventScheduler`]) through which
-//! every frame exchange passes.  Each established link is a
+//! The radio environment is an [`EventMedium`]: a registry of virtual
+//! devices plus an ordered event core ([`btcore::EventScheduler`]) through
+//! which every frame exchange passes.  Each established link is a
 //! [`LinkHandle`] — an independent event source with its own virtual clock,
-//! its own loss stream and its own device-side L2CAP acceptor slot — so
+//! its own fault stream and its own device-side L2CAP acceptor slot — so
 //! several initiators can fuzz *one* device concurrently, including one
 //! BR/EDR and one LE initiator against the same dual-mode target.
 //!
@@ -13,11 +13,11 @@
 //! Every exchange is an event stamped with the sending link's virtual time;
 //! the scheduler admits events in ascending `(time, link)` order no matter
 //! how the OS schedules the initiator threads, and hands each admitted event
-//! a deterministic seed for its random decisions (frame loss).  A campaign's
-//! packet streams are therefore a pure function of its seed at any initiator
-//! count — and a single-link medium degenerates to exactly the synchronous
-//! behaviour (one uncontended lock per exchange, no extra clock charges), so
-//! single-initiator campaigns replay the old medium bit for bit.
+//! a deterministic seed for its random decisions (the faults of its link's
+//! [`FaultPlan`]).  A campaign's packet streams are therefore a pure
+//! function of its seed at any initiator count — and a single-link medium
+//! degenerates to the synchronous behaviour: one uncontended lock per
+//! exchange and no extra clock charges.
 
 use btcore::{
     splitmix64, BdAddr, BtError, ConnectionError, ConnectionHandle, DeviceMeta, EventScheduler,
@@ -33,69 +33,13 @@ use crate::device::{BoxedDevice, SharedDevice, VirtualDevice};
 use crate::fault::{corrupt_frame, FaultPlan, WatchdogExpired, FAULT_DOMAIN};
 use crate::link::{Direction, LinkConfig, PacketRecord, SharedTap};
 
-/// A virtual radio environment that devices register on and links are
-/// established over.
-///
-/// [`EventMedium`] is the (only) in-process implementation; the trait is the
-/// seam a hardware-backed medium would slot into.
-pub trait Medium {
-    /// Registers an already-shared device handle.
-    fn register_shared(&mut self, device: SharedDevice);
-
-    /// Number of registered devices (alive or not).
-    fn device_count(&self) -> usize;
-
-    /// Performs an inquiry: returns the metadata of every device whose
-    /// Bluetooth service is currently running.  Charges a little virtual
-    /// time per discovered device on the medium clock, as a real inquiry
-    /// scan would.
-    fn inquiry(&self) -> Vec<DeviceMeta>;
-
-    /// The medium-wide clock: tracks the latest fired event across all
-    /// links.
-    fn clock(&self) -> SimClock;
-
-    /// Establishes a link according to `spec`.
-    ///
-    /// # Errors
-    /// Returns [`BtError::UnknownDevice`] if no device has the address,
-    /// [`BtError::Connection`] if the device is down or does not serve the
-    /// requested transport.
-    fn connect_spec(&mut self, spec: LinkSpec) -> Result<LinkHandle, BtError>;
-
-    /// Registers a device from a boxed implementation, returning the shared
-    /// handle.
-    fn register(&mut self, device: Box<dyn VirtualDevice>) -> SharedDevice
-    where
-        Self: Sized,
-    {
-        let shared: SharedDevice = Arc::new(Mutex::new(BoxedDevice::new(device)));
-        self.register_shared(shared.clone());
-        shared
-    }
-
-    /// Establishes a link on the device's primary transport, with the link's
-    /// timeline on the medium clock — the synchronous-medium behaviour.
-    ///
-    /// # Errors
-    /// Same conditions as [`Medium::connect_spec`].
-    fn connect(
-        &mut self,
-        addr: BdAddr,
-        config: LinkConfig,
-        rng: FuzzRng,
-    ) -> Result<LinkHandle, BtError> {
-        self.connect_spec(LinkSpec::new(addr, config, rng))
-    }
-}
-
-/// Everything [`Medium::connect_spec`] needs to establish one link.
+/// Everything [`EventMedium::connect_spec`] needs to establish one link.
 pub struct LinkSpec {
     /// Address of the target device.
     pub addr: BdAddr,
     /// Physical-layer behaviour of the link.
     pub config: LinkConfig,
-    /// Seed of the link's loss stream (each event derives its own RNG from
+    /// Seed of the link's fault stream (each event derives its own RNG from
     /// this and the event's scheduler ticket).
     pub link_seed: u64,
     /// Transport to connect over; `None` uses the device's primary
@@ -189,21 +133,33 @@ impl EventMedium {
     pub fn events_fired(&self) -> u64 {
         self.core.scheduler.events_fired()
     }
-}
 
-impl Medium for EventMedium {
-    fn register_shared(&mut self, device: SharedDevice) {
+    /// Registers a device from a boxed implementation, returning the shared
+    /// handle.
+    pub fn register(&mut self, device: Box<dyn VirtualDevice>) -> SharedDevice {
+        let shared: SharedDevice = Arc::new(Mutex::new(BoxedDevice::new(device)));
+        self.register_shared(shared.clone());
+        shared
+    }
+
+    /// Registers an already-shared device handle.
+    pub fn register_shared(&mut self, device: SharedDevice) {
         self.devices.push(DeviceEntry {
             device,
             next_slot: 0,
         });
     }
 
-    fn device_count(&self) -> usize {
+    /// Number of registered devices (alive or not).
+    pub fn device_count(&self) -> usize {
         self.devices.len()
     }
 
-    fn inquiry(&self) -> Vec<DeviceMeta> {
+    /// Performs an inquiry: returns the metadata of every device whose
+    /// Bluetooth service is currently running.  Charges a little virtual
+    /// time per discovered device on the medium clock, as a real inquiry
+    /// scan would.
+    pub fn inquiry(&self) -> Vec<DeviceMeta> {
         let mut found = Vec::new();
         for entry in &self.devices {
             let guard = entry.device.lock();
@@ -215,11 +171,33 @@ impl Medium for EventMedium {
         found
     }
 
-    fn clock(&self) -> SimClock {
+    /// The medium-wide clock: tracks the latest fired event across all
+    /// links.
+    pub fn clock(&self) -> SimClock {
         self.core.clock.clone()
     }
 
-    fn connect_spec(&mut self, spec: LinkSpec) -> Result<LinkHandle, BtError> {
+    /// Establishes a link on the device's primary transport, with the link's
+    /// timeline on the medium clock.
+    ///
+    /// # Errors
+    /// Same conditions as [`EventMedium::connect_spec`].
+    pub fn connect(
+        &mut self,
+        addr: BdAddr,
+        config: LinkConfig,
+        rng: FuzzRng,
+    ) -> Result<LinkHandle, BtError> {
+        self.connect_spec(LinkSpec::new(addr, config, rng))
+    }
+
+    /// Establishes a link according to `spec`.
+    ///
+    /// # Errors
+    /// Returns [`BtError::UnknownDevice`] if no device has the address,
+    /// [`BtError::Connection`] if the device is down or does not serve the
+    /// requested transport.
+    pub fn connect_spec(&mut self, spec: LinkSpec) -> Result<LinkHandle, BtError> {
         let entry = self
             .devices
             .iter_mut()
@@ -242,7 +220,12 @@ impl Medium for EventMedium {
             (slot, link_type)
         };
         let handle = ConnectionHandle(self.next_handle);
-        self.next_handle = (self.next_handle + 1) & 0x0EFF;
+        // Handles run 0x0001..=MAX, then wrap back to 0x0001.
+        self.next_handle = if self.next_handle >= ConnectionHandle::MAX.value() {
+            0x0001
+        } else {
+            self.next_handle + 1
+        };
         let clock = spec.clock.unwrap_or_else(|| self.core.clock.clone());
         // Link setup (paging) costs a few milliseconds of the link's own
         // virtual time.
@@ -412,10 +395,11 @@ impl LinkHandle {
     /// The exchange fires as one event: the link waits at the medium's
     /// turnstile until its virtual time is globally minimal, then the frame
     /// is fragmented into ACL packets, carried across the virtual air
-    /// (applying latency, loss and processing cost to the link's clock) and
-    /// reassembled on the device side; responses travel the same way back.
-    /// Every frame crossing the link is reported to the attached taps,
-    /// including frames that are subsequently lost.
+    /// (charging latency and processing cost to the link's clock, and
+    /// applying the link's [`FaultPlan`]) and reassembled on the device
+    /// side; responses travel the same way back.  Every frame crossing the
+    /// link is reported to the attached taps, including frames the fault
+    /// plan subsequently drops.
     ///
     /// # Panics
     /// Panics if the link has been retired.
@@ -449,14 +433,8 @@ impl LinkHandle {
         self.clock
             .advance_micros(self.config.latency_micros * fragment_count as u64);
 
-        let lost = self.config.loss_probability > 0.0
-            && FuzzRng::seed_from(splitmix64(ticket.seed ^ self.link_seed))
-                .chance(self.config.loss_probability);
         let faults = self.config.faults;
-        let responses = if lost {
-            // Frame lost on the air: the target never sees it.
-            Vec::new()
-        } else if faults.is_none() {
+        let responses = if faults.is_none() {
             self.deliver(frame, fragment_count)
         } else {
             self.deliver_with_faults(frame, &faults, ticket.seed)
@@ -478,10 +456,8 @@ impl LinkHandle {
     ///
     /// Decisions draw from a per-event RNG seeded from the scheduler ticket
     /// in a fixed order — jitter, stall, loss, corruption, reorder,
-    /// duplication — in a seed domain separate from the legacy loss stream,
-    /// so the same campaign seed and plan always reproduce the same faulty
-    /// schedule, and plans that leave `loss_probability` semantics alone
-    /// never perturb existing streams.
+    /// duplication — so the same campaign seed and plan always reproduce
+    /// the same faulty schedule.
     fn deliver_with_faults(
         &mut self,
         frame: &L2capFrame,
@@ -734,15 +710,20 @@ mod tests {
     #[test]
     fn total_loss_drops_every_frame() {
         let (mut air, addr) = setup();
-        let mut link = air
-            .connect(addr, LinkConfig::lossy(1.0), FuzzRng::seed_from(1))
-            .unwrap();
+        let config = LinkConfig::default().with_faults(FaultPlan::none().with_loss(1.0));
+        let mut link = air.connect(addr, config, FuzzRng::seed_from(1)).unwrap();
+        let tap = new_tap();
+        link.attach_tap(tap.clone());
         let frame = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x00, 0x00]);
         for _ in 0..10 {
             assert!(link.send_frame(&frame).is_empty());
         }
         assert_eq!(link.frames_received(), 0);
         assert_eq!(link.frames_sent(), 10);
+        // Dropped frames still crossed the link: the taps see every one.
+        let records = tap.lock();
+        assert_eq!(records.len(), 10);
+        assert!(records.iter().all(|r| r.direction == Direction::Tx));
     }
 
     #[test]
@@ -770,6 +751,20 @@ mod tests {
         assert_eq!(a.slot(), LinkSlot(0));
         assert_eq!(b.slot(), LinkSlot(1));
         assert_ne!(a.handle(), b.handle());
+    }
+
+    #[test]
+    fn handles_stay_distinct_and_valid_past_0x00ff() {
+        let (mut air, addr) = setup();
+        let handles: std::collections::BTreeSet<ConnectionHandle> = (0..300)
+            .map(|i| {
+                air.connect(addr, LinkConfig::ideal(), FuzzRng::seed_from(i))
+                    .unwrap()
+                    .handle()
+            })
+            .collect();
+        assert_eq!(handles.len(), 300);
+        assert!(handles.iter().all(ConnectionHandle::is_valid));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Hand-driven flows obtain their wired target environment (device, link,
 //! tap, clock) from `Campaign::builder().env()` instead of assembling an
-//! `AirMedium` manually.
+//! `EventMedium` manually.
 //!
 //! Run with: `cargo run --example blueborne_flow`
 

@@ -13,7 +13,7 @@ use alloc_counter::{thread_allocations as allocations, CountingAllocator};
 use btcore::{BdAddr, Cid, DeviceMeta, FrameBuf, FuzzRng, Identifier, LinkSlot, Psm, SimClock};
 use hci::device::VirtualDevice;
 use hci::link::{new_tap, LinkConfig};
-use hci::medium::{EventMedium, LinkHandle, Medium};
+use hci::medium::{EventMedium, LinkHandle};
 use l2cap::code::CommandCode;
 use l2cap::packet::L2capFrame;
 use l2fuzz::guide::ChannelContext;

@@ -18,7 +18,7 @@ use btcore::{FuzzRng, LinkType, SimClock};
 use btstack::device::{share, HostStatus};
 use btstack::profiles::{DeviceProfile, ProfileId};
 use hci::link::LinkConfig;
-use hci::medium::{EventMedium, LinkSpec, Medium};
+use hci::medium::{EventMedium, LinkSpec};
 use l2cap::command::{Command, ConnectionRequest, DisconnectionRequest};
 use l2cap::consts::ConnectionResult;
 use l2cap::packet::{parse_signaling, signaling_frame};

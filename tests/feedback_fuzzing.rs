@@ -10,6 +10,8 @@ use feedback::{CorpusHub, FeedbackCampaignExt, FeedbackConfig, FeedbackCorpus};
 use l2fuzz::campaign::{
     Campaign, SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetOutcome,
 };
+use l2fuzz::config::FuzzConfig;
+use l2fuzz::session::L2FuzzTool;
 
 /// Serializes every initiator of every target: reports as JSON, traces as
 /// raw timestamped bytes — the full observable output of a campaign.
@@ -152,5 +154,82 @@ fn sweep_corpus_merge_is_schedule_independent() {
             serial_corpus, corpus,
             "merged corpus diverged at {threads} threads"
         );
+    }
+}
+
+/// Median of an even-length sample: the mean of the two middle values,
+/// rounded down.
+fn median(samples: &[u64]) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2
+}
+
+#[test]
+fn detection_ablation_is_pinned() {
+    // Packets to detection on the three seeded extended-profile targets,
+    // dictionary engine vs coverage-guided feedback, over sweep seeds
+    // 51..=58. The dictionary engine gets configuration-option mutation on
+    // D11: without it the ERTM zero-window seed is unreachable. Every run
+    // must detect, so each figure is a real time to detection, not a
+    // censored spend.
+    const SEEDS: [u64; 8] = [51, 52, 53, 54, 55, 56, 57, 58];
+    // One engine's packets to detection per seed, and their median.
+    type Pinned = ([u64; 8], u64);
+    // (target, dictionary, feedback).
+    let expected: [(ProfileId, Pinned, Pinned); 3] = [
+        (
+            ProfileId::D9,
+            ([106, 974, 136, 105, 346, 103, 104, 104], 105),
+            ([52, 1101, 164, 109, 515, 70, 98, 84], 103),
+        ),
+        (
+            ProfileId::D10,
+            ([166, 269, 267, 161, 167, 160, 164, 165], 165),
+            ([287, 527, 557, 12, 92, 81, 61, 83], 87),
+        ),
+        (
+            ProfileId::D11,
+            ([469, 2146, 539, 1991, 690, 466, 619, 469], 579),
+            ([96, 1853, 150, 1467, 729, 84, 763, 85], 439),
+        ),
+    ];
+    for (id, (dict_expected, dict_median), (fb_expected, fb_median)) in expected {
+        let mut dictionary = Vec::new();
+        let mut feedback = Vec::new();
+        for seed in SEEDS {
+            let dict = Campaign::builder()
+                .target(DeviceProfile::table5(id))
+                .fuzzer(move || {
+                    let cfg = if id == ProfileId::D11 {
+                        FuzzConfig::default().with_config_option_mutation()
+                    } else {
+                        FuzzConfig::default()
+                    };
+                    Box::new(L2FuzzTool::detection(cfg, 3))
+                })
+                .seed(seed)
+                .run()
+                .expect("dictionary campaign runs")
+                .into_single()
+                .report;
+            assert!(dict.vulnerable(), "{id} seed {seed}: dictionary missed");
+            dictionary.push(dict.packets_sent);
+
+            let fb = Campaign::builder()
+                .target(DeviceProfile::table5(id))
+                .feedback(FeedbackConfig::default())
+                .seed(seed)
+                .run()
+                .expect("feedback campaign runs")
+                .into_single()
+                .report;
+            assert!(fb.vulnerable(), "{id} seed {seed}: feedback missed");
+            feedback.push(fb.packets_sent);
+        }
+        assert_eq!(dictionary, dict_expected, "{id}: dictionary packets");
+        assert_eq!(feedback, fb_expected, "{id}: feedback packets");
+        assert_eq!(median(&dictionary), dict_median, "{id}: dictionary median");
+        assert_eq!(median(&feedback), fb_median, "{id}: feedback median");
     }
 }

@@ -19,7 +19,7 @@ use btcore::{FuzzRng, LinkType, Psm, SimClock};
 use btstack::device::share;
 use btstack::profiles::{DeviceProfile, ProfileId};
 use hci::link::LinkConfig;
-use hci::medium::{EventMedium, LinkHandle, Medium};
+use hci::medium::{EventMedium, LinkHandle};
 use l2cap::state::ChannelState;
 use l2fuzz::guide::StateGuide;
 
