@@ -256,13 +256,6 @@ pub struct ModelCheck {
     pub violations: Vec<Violation>,
 }
 
-fn claimed_mask(link: LinkType) -> &'static [ChannelState] {
-    match link {
-        LinkType::BrEdr => &ChannelState::REACHABLE_FROM_INITIATOR,
-        LinkType::Le => &ChannelState::REACHABLE_FROM_INITIATOR_LE,
-    }
-}
-
 /// Runs every model-certification check against the given allowlist.
 pub fn check_model(allowlist: &Allowlist) -> ModelCheck {
     let mut violations = Vec::new();
@@ -272,7 +265,7 @@ pub fn check_model(allowlist: &Allowlist) -> ModelCheck {
     for link in [LinkType::BrEdr, LinkType::Le] {
         let model = link_model(link);
         let computed = model.deployed.reachable();
-        let claimed = claimed_mask(link);
+        let claimed = ChannelState::initiator_walk(link);
 
         // 1. Mask parity, both directions.
         for &state in claimed {

@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(seq(ChannelState::WaitMove, LinkType::BrEdr), moved);
         assert_eq!(seq(ChannelState::WaitMoveConfirm, LinkType::BrEdr), moved);
         assert_eq!(seq(ChannelState::WaitConfirmRsp, LinkType::BrEdr), moved);
-        // LE (the `drive_to_le` sequences of PR 5).
+        // LE (the hand-written credit-based sequences the plans replaced).
         assert_eq!(seq(ChannelState::Closed, LinkType::Le), vec![]);
         assert_eq!(seq(ChannelState::WaitConnect, LinkType::Le), vec![]);
         assert_eq!(

@@ -4,9 +4,9 @@
 ///
 /// The defaults correspond to the technique described in the paper; the
 /// boolean switches exist for the ablation experiments (disabling state
-/// guiding, mutating every field instead of only core fields, dropping the
-/// garbage tail, or using strict instead of generous valid-command
-/// boundaries).
+/// guiding, mutating every field instead of only core fields, or dropping
+/// the garbage tail).  State-guided test packets always draw from the
+/// paper's "slightly more generous" valid-command boundaries (§III-C).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
     /// Number of malformed packets generated per valid command and state
@@ -25,9 +25,6 @@ pub struct FuzzConfig {
     /// Maximum garbage tail length in bytes (kept below the signalling MTU so
     /// the packet is not rejected outright).
     pub max_garbage_len: usize,
-    /// Use the paper's "slightly more generous" valid-command boundaries
-    /// (§III-C) instead of the strict Table III mapping.
-    pub generous_boundaries: bool,
     /// Mutate Configuration Request options on BR/EDR links: append a
     /// retransmission-and-flow-control option selecting ERTM or streaming
     /// mode with abnormal parameters (zero transmit window, zero MPS).
@@ -59,7 +56,6 @@ impl Default for FuzzConfig {
             core_fields_only: true,
             append_garbage: true,
             max_garbage_len: 16,
-            generous_boundaries: true,
             mutate_config_options: false,
             stop_at_first_vulnerability: true,
             max_packets: 0,
@@ -125,7 +121,6 @@ mod tests {
         assert!(c.state_guiding);
         assert!(c.core_fields_only);
         assert!(c.append_garbage);
-        assert!(c.generous_boundaries);
         assert!(c.stop_at_first_vulnerability);
         assert!(c.packets_per_command > 0);
         assert!(c.max_garbage_len > 0);

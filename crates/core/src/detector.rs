@@ -149,14 +149,11 @@ impl VulnerabilityDetector {
         // that stays mute through every backed-off attempt counts as
         // disturbed.  With `RetryPolicy::none` this is a single ping — the
         // pre-resilience packet stream, byte for byte.
-        let mut ping_ok = self.ping(link);
-        let mut retries = 0;
-        while !ping_ok && retries + 1 < self.retry.max_attempts {
-            link.clock().advance_micros(self.retry.backoff_for(retries));
-            ping_ok = self.ping(link);
-            retries += 1;
-        }
-        if ping_ok {
+        let (retry, clock) = (self.retry, link.clock());
+        if retry
+            .run(&clock, || self.ping(link).then_some(()))
+            .is_some()
+        {
             return DetectionVerdict::Healthy;
         }
 

@@ -85,24 +85,6 @@ impl StateGuide {
         self
     }
 
-    /// Retries `attempt` per the guide's policy until it yields a value.
-    /// With `RetryPolicy::none` this is exactly one attempt and no extra
-    /// clock charge — the pre-resilience packet stream.
-    fn with_attempts<T>(
-        &mut self,
-        link: &mut LinkHandle,
-        mut attempt: impl FnMut(&mut Self, &mut LinkHandle) -> Option<T>,
-    ) -> Option<T> {
-        let mut result = attempt(self, link);
-        let mut retries = 0;
-        while result.is_none() && retries + 1 < self.retry.max_attempts {
-            link.clock().advance_micros(self.retry.backoff_for(retries));
-            result = attempt(self, link);
-            retries += 1;
-        }
-        result
-    }
-
     /// Number of normal (state-transition) packets this guide has sent.
     pub fn transition_packets_sent(&self) -> u64 {
         self.transition_packets_sent
@@ -286,22 +268,26 @@ impl StateGuide {
         ctx: &mut Option<ChannelContext>,
         code: CommandCode,
     ) -> Result<(), ()> {
+        let (retry, clock) = (self.retry, link.clock());
         match code {
             CommandCode::ConnectionRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_channel(l, psm, false))
+                    retry
+                        .run(&clock, || self.open_channel(link, psm, false))
                         .ok_or(())?,
                 );
             }
             CommandCode::CreateChannelRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_channel(l, psm, true))
+                    retry
+                        .run(&clock, || self.open_channel(link, psm, true))
                         .ok_or(())?,
                 );
             }
             CommandCode::LeCreditBasedConnectionRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_le_channel(l, psm))
+                    retry
+                        .run(&clock, || self.open_le_channel(link, psm))
                         .ok_or(())?,
                 );
             }
@@ -360,39 +346,26 @@ impl StateGuide {
         }
     }
 
-    /// The LE counterpart of [`StateGuide::drive_to`]: drives the target's
-    /// LE-U channel toward `state` using the credit-based flows.
-    ///
-    /// `CLOSED` and `WAIT_CONNECT` fuzz without a channel, `WAIT_CONFIG` is
-    /// passed through by a reconfigure on an open channel, `OPEN` and
-    /// `WAIT_DISCONNECT` fuzz from an open channel.  States that do not
-    /// exist on an LE link return `None`.
-    pub fn drive_to_le(
-        &mut self,
-        link: &mut LinkHandle,
-        spsm: Psm,
-        state: ChannelState,
-    ) -> Option<ChannelContext> {
-        let plan = analysis::fuzz_plan(state, btcore::LinkType::Le)?;
-        self.execute_plan(link, spsm, plan)
-    }
-
     /// Drives the target into `state` on a fresh channel over `psm` and
     /// returns the channel context to fuzz with.
     ///
     /// The command sequence is not hand-written: it executes the
-    /// [`FuzzPlan`] the `analysis` crate derived from the minimal witness
-    /// the model checker computed for `state` (states the target only
-    /// passes through transiently are fuzzed from the nearest parkable
-    /// position the plan records).  Responder-only states have no plan and
-    /// return `None`.
+    /// [`FuzzPlan`] the `analysis` crate derived, for the link's transport,
+    /// from the minimal witness the model checker computed for `state`
+    /// (states the target only passes through transiently are fuzzed from
+    /// the nearest parkable position the plan records).  On an LE link the
+    /// plans use the credit-based flows: `CLOSED` and `WAIT_CONNECT` fuzz
+    /// without a channel, a reconfigure passes through `WAIT_CONFIG`, and
+    /// `OPEN` and `WAIT_DISCONNECT` fuzz from an open channel.
+    /// Responder-only states, and states the transport lacks, have no plan
+    /// and return `None`.
     pub fn drive_to(
         &mut self,
         link: &mut LinkHandle,
         psm: Psm,
         state: ChannelState,
     ) -> Option<ChannelContext> {
-        let plan = analysis::fuzz_plan(state, btcore::LinkType::BrEdr)?;
+        let plan = analysis::fuzz_plan(state, link.link_type())?;
         self.execute_plan(link, psm, plan)
     }
 }

@@ -19,9 +19,10 @@
 //!    collect crash dumps through the out-of-band oracle.
 //!
 //! [`session::L2FuzzSession`] ties the four phases together and produces a
-//! [`report::FuzzReport`]; the [`campaign`] module is the single entry point
-//! that wires sessions (and the baseline tools, via the [`fuzzer::Fuzzer`]
-//! trait) to simulated targets.
+//! [`report::FuzzReport`]; what a fuzzing engine changes inside that one
+//! loop is a [`session::Strategy`].  The [`campaign`] module is the single
+//! entry point that wires sessions (and the baseline tools, via the
+//! [`fuzzer::Fuzzer`] trait) to simulated targets.
 //!
 //! # Quickstart
 //!
@@ -58,30 +59,6 @@
 //! and LE on a dual-mode device); [`campaign::SeedSweepExecutor`] runs one
 //! campaign per sweep seed per target.  All of it replays bit-for-bit from
 //! the campaign seed.
-//!
-//! # Migrating from `L2FuzzSession::run`
-//!
-//! Code written before the campaign API built a medium, registered a
-//! device, connected a link, attached a tap and called
-//! [`session::L2FuzzSession::run`] by hand.  That wiring now lives behind
-//! [`campaign::Campaign::builder`]:
-//!
-//! * `EventMedium::new` + `register` + `connect` +
-//!   `new_tap` → `.target(profile)` (the builder creates an isolated
-//!   clock, medium, link and tap per target).
-//! * `L2FuzzSession::new(config, clock).run(&mut link, meta, Some(&mut
-//!   oracle))` → `.fuzzer(|| Box::new(L2FuzzTool::detection(config, rounds)))`
-//!   plus `.oracle(OraclePolicy::OutOfBand)` (the default); the report comes
-//!   back in [`campaign::TargetOutcome::report`].
-//! * A raw packet budget (`Fuzzer::fuzz(&mut link, max_packets)`) →
-//!   `.budget(TxBudget::packets(n))`; the budget now reaches every tool
-//!   through [`fuzzer::FuzzCtx`].
-//! * Hand-driven flows that need the bare link keep working: swap the manual
-//!   wiring for [`campaign::CampaignBuilder::env`], which returns the
-//!   isolated [`campaign::TargetEnv`] (device, link, tap, clock).
-//!
-//! [`session::L2FuzzSession`] itself is unchanged and remains the four-phase
-//! engine; only the harness around it moved.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,7 +51,10 @@ pub struct FuzzReport {
     pub scan: ScanReport,
     /// States the campaign parked the target in (in test order).
     pub states_tested: Vec<ChannelState>,
-    /// Packets transmitted (normal + malformed).
+    /// Packets transmitted: normal state-transition packets, malformed
+    /// test packets and liveness pings.  The scan's port probes are not
+    /// counted here, although the campaign's
+    /// [`TxBudget`](crate::fuzzer::TxBudget) counts them.
     pub packets_sent: u64,
     /// Malformed packets transmitted.
     pub malformed_sent: u64,

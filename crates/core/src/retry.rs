@@ -8,6 +8,8 @@
 //! between them (scaled by `backoff_factor` per retry), so retried schedules
 //! stay exactly as deterministic as everything else.
 
+use btcore::SimClock;
+
 /// Retry behaviour of the fault-tolerant drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -61,6 +63,20 @@ impl RetryPolicy {
     pub fn backoff_for(&self, retry: u32) -> u64 {
         let factor = u64::from(self.backoff_factor.max(1)).saturating_pow(retry);
         self.backoff_micros.saturating_mul(factor)
+    }
+
+    /// Calls `attempt` until it yields a value or the attempts run out,
+    /// charging each backoff to `clock` before the retry it precedes.
+    /// Without retries this is exactly one attempt and no clock charge.
+    pub fn run<T>(&self, clock: &SimClock, mut attempt: impl FnMut() -> Option<T>) -> Option<T> {
+        let mut result = attempt();
+        let mut retries = 0;
+        while result.is_none() && retries + 1 < self.max_attempts {
+            clock.advance_micros(self.backoff_for(retries));
+            result = attempt();
+            retries += 1;
+        }
+        result
     }
 }
 

@@ -1,8 +1,17 @@
 //! The L2Fuzz session: orchestration of the four phases (Fig. 5).
+//!
+//! [`L2FuzzSession::run`] is the one four-phase loop (scan, guide, mutate,
+//! detect) and [`L2FuzzTool`] the one round driver.  What a fuzzing engine
+//! changes is a [`Strategy`]: which states a round walks and with how many
+//! test packets each, and where each test packet comes from.
+//! [`Dictionary`] is the paper's engine; the `feedback` crate's
+//! coverage-guided engine is the other.
 
-use btcore::{DeviceMeta, FuzzRng, SimClock, TargetOracle};
+use btcore::{DeviceMeta, FuzzRng, LinkType, SimClock, TargetOracle};
 use hci::medium::LinkHandle;
+use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
+use l2cap::packet::SignalingPacket;
 use l2cap::state::ChannelState;
 
 use crate::config::FuzzConfig;
@@ -10,11 +19,127 @@ use crate::detector::{DetectionVerdict, VulnerabilityDetector};
 use crate::fuzzer::Fuzzer;
 use crate::guide::{ChannelContext, StateGuide};
 use crate::mutator::CoreFieldMutator;
-use crate::queue::{PacketKind, PacketQueue};
+use crate::queue::{send, SendOutcome};
 use crate::report::{FuzzReport, VulnerabilityFinding};
 use crate::scanner::TargetScanner;
 
-/// A full L2Fuzz campaign against one target device.
+/// The state a round has parked the target in, as a [`Strategy`]'s hooks
+/// see it.
+pub struct Parked<'a> {
+    /// The state the guide parked the target in.
+    pub state: ChannelState,
+    /// The transport of the link.
+    pub link: LinkType,
+    /// The channel the test packets address.
+    pub channel: ChannelContext,
+    /// The commands valid for the state's job (every command without state
+    /// guiding).
+    pub commands: &'a [CommandCode],
+    /// The state guide, the source of signalling identifiers.
+    pub guide: &'a mut StateGuide,
+    /// The round's core-field mutator (Algorithm 1).
+    pub mutator: &'a mut CoreFieldMutator,
+}
+
+/// What a fuzzing engine decides inside the one four-phase loop.
+///
+/// The loop owns everything else: scanning, guiding, transmission,
+/// detection, the packet cap, findings and the report.  A strategy lives
+/// across the rounds of one [`L2FuzzTool`], so it can carry what it learned
+/// from one round into the next.
+pub trait Strategy: Send {
+    /// Tool and report name.
+    const NAME: &'static str;
+    /// Domain label of the round-seed stream, so two engines under the same
+    /// campaign seed draw independent bytes.
+    const DOMAIN: u64;
+
+    /// Plans one round over a `link` target: the states to park in, in walk
+    /// order, with the number of test packets each gets.  `rng` is the
+    /// round's generator, after the mutator's fork.
+    fn walk(
+        &mut self,
+        config: &FuzzConfig,
+        link: LinkType,
+        rng: &mut FuzzRng,
+    ) -> Vec<(ChannelState, u64)>;
+
+    /// Called before the loop tries to park the target in `state`.
+    fn attempt(&mut self, _state: ChannelState) {}
+
+    /// Called once the target is parked, before the state's first test
+    /// packet.
+    fn enter(&mut self, _at: &mut Parked<'_>) {}
+
+    /// The `index`-th test packet of the parked state.
+    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket;
+
+    /// Called with each test packet's exchange, before the detector runs.
+    fn learn(&mut self, _at: &Parked<'_>, _packet: &SignalingPacket, _outcome: &SendOutcome) {}
+}
+
+/// The paper's engine: every initiator-reachable state in canonical order,
+/// `packets_per_command` Algorithm 1 mutations per valid command, numbered
+/// up from one guide identifier per state.
+#[derive(Debug, Clone, Default)]
+pub struct Dictionary {
+    per_command: usize,
+    /// The parked state's test packets.
+    packets: Vec<SignalingPacket>,
+}
+
+impl Strategy for Dictionary {
+    const NAME: &'static str = "L2Fuzz";
+    /// `0x4C32` = "L2".
+    const DOMAIN: u64 = 0x4C32;
+
+    fn walk(
+        &mut self,
+        config: &FuzzConfig,
+        link: LinkType,
+        _rng: &mut FuzzRng,
+    ) -> Vec<(ChannelState, u64)> {
+        self.per_command = config.packets_per_command;
+        let states = if config.state_guiding {
+            ChannelState::initiator_walk(link)
+        } else {
+            &[ChannelState::Closed]
+        };
+        states
+            .iter()
+            .map(|&state| {
+                let commands = commands_for(config, state, link).len();
+                (state, (commands * self.per_command) as u64)
+            })
+            .collect()
+    }
+
+    fn enter(&mut self, at: &mut Parked<'_>) {
+        self.packets = at.mutator.generate(
+            at.commands,
+            self.per_command,
+            &at.channel,
+            at.guide.next_identifier(),
+        );
+    }
+
+    fn packet(&mut self, _at: &mut Parked<'_>, index: u64) -> SignalingPacket {
+        self.packets[index as usize].clone()
+    }
+}
+
+/// The commands a state's test packets are drawn from: its job's generous
+/// valid commands (§III-C), or, without state guiding, every command (the
+/// dumb strategy of the ablation).
+fn commands_for(config: &FuzzConfig, state: ChannelState, link: LinkType) -> Vec<CommandCode> {
+    if config.state_guiding {
+        job_of(state).generous_valid_commands_on(link)
+    } else {
+        CommandCode::ALL.to_vec()
+    }
+}
+
+/// One round of L2Fuzz against one target device.
 pub struct L2FuzzSession {
     config: FuzzConfig,
     clock: SimClock,
@@ -39,18 +164,15 @@ impl L2FuzzSession {
         self
     }
 
-    /// The session configuration.
-    pub fn config(&self) -> &FuzzConfig {
-        &self.config
-    }
-
-    /// Runs the campaign over an established link.
+    /// Runs the four phases over an established link, walking the states
+    /// `strategy` plans.
     ///
     /// `oracle` is the optional out-of-band view of the target (crash dumps
     /// and service status); without it the detector still works from the
     /// target's on-air behaviour alone.
-    pub fn run(
+    pub fn run<S: Strategy>(
         &mut self,
+        strategy: &mut S,
         link: &mut LinkHandle,
         meta: DeviceMeta,
         mut oracle: Option<&mut dyn TargetOracle>,
@@ -69,14 +191,13 @@ impl L2FuzzSession {
         mutator.set_link(link_type);
         mutator.set_config_option_mutation(self.config.mutate_config_options);
         let mut detector = VulnerabilityDetector::new_on(link_type).with_retry(self.retry);
-        let mut queue = PacketQueue::new();
 
         // Phase 1: target scanning.
         let scan = scanner.scan(meta.clone(), link);
         let psm = scan.chosen_port.unwrap_or(btcore::Psm::SDP);
 
         let mut report = FuzzReport {
-            fuzzer: "L2Fuzz".to_owned(),
+            fuzzer: S::NAME.to_owned(),
             target: meta,
             scan,
             states_tested: Vec::new(),
@@ -86,26 +207,14 @@ impl L2FuzzSession {
             elapsed_secs: 0,
         };
 
-        // Phases 2-4, repeated per reachable state (of the target's link
-        // type — an LE target exposes the credit-based subset).
-        let states: Vec<ChannelState> = if self.config.state_guiding {
-            match link_type {
-                btcore::LinkType::BrEdr => ChannelState::REACHABLE_FROM_INITIATOR.to_vec(),
-                btcore::LinkType::Le => ChannelState::REACHABLE_FROM_INITIATOR_LE.to_vec(),
-            }
-        } else {
-            vec![ChannelState::Closed]
-        };
-
-        'states: for state in states {
+        // Phases 2-4, once per state of the strategy's walk.
+        let walk = strategy.walk(&self.config, link_type, &mut rng);
+        'states: for (state, packets) in walk {
             // Phase 2: state guiding.
-            let ctx = if self.config.state_guiding {
-                let driven = match link_type {
-                    btcore::LinkType::BrEdr => guide.drive_to(link, psm, state),
-                    btcore::LinkType::Le => guide.drive_to_le(link, psm, state),
-                };
-                match driven {
-                    Some(ctx) => ctx,
+            strategy.attempt(state);
+            let channel = if self.config.state_guiding {
+                match guide.drive_to(link, psm, state) {
+                    Some(channel) => channel,
                     None => continue,
                 }
             } else {
@@ -113,36 +222,33 @@ impl L2FuzzSession {
             };
             report.states_tested.push(state);
 
-            // Phase 3: core field mutating.
+            // Phase 3: core field mutating, one test packet at a time.
             let job = job_of(state);
-            let commands = if self.config.state_guiding {
-                if self.config.generous_boundaries {
-                    job.generous_valid_commands_on(link_type)
-                } else {
-                    job.valid_commands_on(link_type)
-                }
-            } else {
-                // Without state guiding, commands are picked at random per
-                // packet (dumb strategy used by the ablation).
-                l2cap::code::CommandCode::ALL.to_vec()
+            let commands = commands_for(&self.config, state, link_type);
+            let mut at = Parked {
+                state,
+                link: link_type,
+                channel,
+                commands: &commands,
+                guide: &mut guide,
+                mutator: &mut mutator,
             };
-            let packets = mutator.generate(
-                &commands,
-                self.config.packets_per_command,
-                &ctx,
-                guide.next_identifier(),
-            );
-
-            // Phase 4: transmit and detect.
-            for packet in packets {
+            strategy.enter(&mut at);
+            for index in 0..packets {
                 if self.config.max_packets > 0
-                    && queue.sent() + guide.transition_packets_sent() + detector.pings_sent()
+                    && report.malformed_sent
+                        + at.guide.transition_packets_sent()
+                        + detector.pings_sent()
                         >= self.config.max_packets as u64
                 {
                     break 'states;
                 }
-                let outcome = queue.send_now(link, &packet, PacketKind::Malformed);
+                let packet = strategy.packet(&mut at, index);
+
+                // Phase 4: transmit and detect.
+                let outcome = send(link, &packet);
                 report.malformed_sent += 1;
+                strategy.learn(&at, &packet, &outcome);
                 let verdict = match oracle {
                     Some(ref mut o) => detector.check(link, Some(&mut **o), outcome.silent),
                     None => detector.check(link, None, outcome.silent),
@@ -151,8 +257,8 @@ impl L2FuzzSession {
                     let finding = VulnerabilityFinding {
                         state,
                         job,
-                        command: l2cap::code::CommandCode::from_u8(packet.code)
-                            .unwrap_or(l2cap::code::CommandCode::CommandReject),
+                        command: CommandCode::from_u8(packet.code)
+                            .unwrap_or(CommandCode::CommandReject),
                         packet_hex: btcore::codec::hex_dump(&packet.to_bytes()),
                         evidence,
                         elapsed_secs: self.clock.now().as_secs().saturating_sub(started),
@@ -165,11 +271,11 @@ impl L2FuzzSession {
             }
 
             // Tear the channel down so the next state starts clean.
-            guide.disconnect(link, ctx);
+            guide.disconnect(link, channel);
         }
 
         report.packets_sent =
-            queue.sent() + guide.transition_packets_sent() + detector.pings_sent();
+            report.malformed_sent + guide.transition_packets_sent() + detector.pings_sent();
         report.elapsed_secs = self.clock.now().as_secs().saturating_sub(started);
         report
     }
@@ -178,34 +284,33 @@ impl L2FuzzSession {
 /// [`Fuzzer`]-trait adapter over [`L2FuzzSession`], used by every campaign.
 ///
 /// The tool runs sessions back to back inside its
-/// [`FuzzCtx`](crate::FuzzCtx), deriving each round's seed from the
-/// context's per-target seed stream.  Two standing configurations cover the
-/// paper's experiments:
+/// [`FuzzCtx`](crate::FuzzCtx), one per round, deriving each round's seed
+/// from the context's per-target seed stream under the strategy's domain
+/// label.  The strategy defaults to the paper's [`Dictionary`] engine, for
+/// which two standing configurations cover the paper's experiments:
 ///
 /// * [`L2FuzzTool::detection`] — Table VI methodology: repeat campaigns
 ///   (with the out-of-band oracle from the context) until a vulnerability is
 ///   found or the round cap is reached.
 /// * [`L2FuzzTool::comparison`] — §IV-C/D methodology: never stop early,
 ///   keep fuzzing until the context's packet budget is spent.
-pub struct L2FuzzTool {
+pub struct L2FuzzTool<S = Dictionary> {
     config: FuzzConfig,
     max_rounds: usize,
+    strategy: S,
 }
 
 impl L2FuzzTool {
     /// Creates a tool that runs sessions with `config` until the context's
     /// budget is spent (no round cap).
     pub fn new(config: FuzzConfig) -> Self {
-        L2FuzzTool {
-            config,
-            max_rounds: usize::MAX,
-        }
+        L2FuzzTool::with_strategy(config, usize::MAX, Dictionary::default())
     }
 
     /// Detection mode (Table VI): stop at the first vulnerability, give up
     /// after `max_rounds` campaigns.
     pub fn detection(config: FuzzConfig, max_rounds: usize) -> Self {
-        L2FuzzTool { config, max_rounds }
+        L2FuzzTool::with_strategy(config, max_rounds, Dictionary::default())
     }
 
     /// Comparison mode (§IV-C/D): never stop early, burn the whole budget.
@@ -214,9 +319,26 @@ impl L2FuzzTool {
     }
 }
 
-impl Fuzzer for L2FuzzTool {
+impl<S: Strategy> L2FuzzTool<S> {
+    /// Creates a tool that runs at most `max_rounds` sessions with `config`,
+    /// each walking what `strategy` plans.
+    pub fn with_strategy(config: FuzzConfig, max_rounds: usize, strategy: S) -> Self {
+        L2FuzzTool {
+            config,
+            max_rounds,
+            strategy,
+        }
+    }
+
+    /// The strategy, with everything it learned in the rounds run so far.
+    pub fn strategy(&self) -> &S {
+        &self.strategy
+    }
+}
+
+impl<S: Strategy> Fuzzer for L2FuzzTool<S> {
     fn name(&self) -> &'static str {
-        "L2Fuzz"
+        S::NAME
     }
 
     fn fuzz(&mut self, ctx: &mut crate::fuzzer::FuzzCtx<'_>) -> Option<FuzzReport> {
@@ -230,11 +352,11 @@ impl Fuzzer for L2FuzzTool {
             let mut config = self.config.clone();
             // Domain-separated session seed: the raw per-target seed drives
             // the simulated device's own RNG, so round seeds come from an
-            // independent stream (0x4C32 = "L2").  The configured seed stays
-            // a real input — two tools with different config seeds diverge
+            // independent stream per strategy.  The configured seed stays a
+            // real input — two tools with different config seeds diverge
             // under the same campaign seed.
             config.seed = ctx
-                .stream_seed(self.config.seed ^ 0x4C32)
+                .stream_seed(self.config.seed ^ S::DOMAIN)
                 .wrapping_add(round);
             if let Some(remaining) = remaining {
                 config.max_packets = if config.max_packets == 0 {
@@ -248,7 +370,7 @@ impl Fuzzer for L2FuzzTool {
             let meta = ctx.meta.clone();
             let mut session = L2FuzzSession::new(config, ctx.clock.clone()).with_retry(ctx.retry);
             let (link, oracle) = ctx.link_and_oracle();
-            let mut report = session.run(link, meta, oracle);
+            let mut report = session.run(&mut self.strategy, link, meta, oracle);
             // Report elapsed times relative to the whole experiment (the
             // environment's clock), not just this round: the session stamped
             // each finding with its round-relative detection time.
@@ -323,7 +445,12 @@ mod tests {
         let (shared, mut link, meta, clock) = setup(ProfileId::D2, 100);
         let mut oracle = DeviceOracle::new(shared);
         let mut session = L2FuzzSession::new(FuzzConfig::default(), clock);
-        let report = session.run(&mut link, meta, Some(&mut oracle));
+        let report = session.run(
+            &mut Dictionary::default(),
+            &mut link,
+            meta,
+            Some(&mut oracle),
+        );
         assert!(report.vulnerable(), "the seeded Pixel 3 DoS must be found");
         let finding = &report.findings[0];
         assert_eq!(finding.evidence.description, "DoS");
@@ -338,7 +465,12 @@ mod tests {
             let (shared, mut link, meta, clock) = setup(id, 200);
             let mut oracle = DeviceOracle::new(shared);
             let mut session = L2FuzzSession::new(FuzzConfig::default(), clock);
-            let report = session.run(&mut link, meta, Some(&mut oracle));
+            let report = session.run(
+                &mut Dictionary::default(),
+                &mut link,
+                meta,
+                Some(&mut oracle),
+            );
             assert!(!report.vulnerable(), "{id} must have no findings");
             assert!(report.states_tested.len() >= 10);
         }
@@ -350,7 +482,7 @@ mod tests {
         let mut config = FuzzConfig::comparison(200, 300);
         config.stop_at_first_vulnerability = false;
         let mut session = L2FuzzSession::new(config, clock);
-        let report = session.run(&mut link, meta, None);
+        let report = session.run(&mut Dictionary::default(), &mut link, meta, None);
         // Budget counts malformed + transition + ping packets; allow a small
         // overshoot for the final in-flight exchange.
         assert!(report.packets_sent <= 230, "sent {}", report.packets_sent);
@@ -365,7 +497,7 @@ mod tests {
         }
         .without_state_guiding();
         let mut session = L2FuzzSession::new(config, clock);
-        let report = session.run(&mut link, meta, None);
+        let report = session.run(&mut Dictionary::default(), &mut link, meta, None);
         assert_eq!(report.states_tested, vec![ChannelState::Closed]);
     }
 
@@ -374,6 +506,7 @@ mod tests {
         let (shared_a, mut link_a, meta_a, clock_a) = setup(ProfileId::D5, 500);
         let mut oracle_a = DeviceOracle::new(shared_a);
         let report_a = L2FuzzSession::new(FuzzConfig::default(), clock_a).run(
+            &mut Dictionary::default(),
             &mut link_a,
             meta_a,
             Some(&mut oracle_a),

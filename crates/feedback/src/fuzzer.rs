@@ -1,10 +1,11 @@
-//! The coverage-guided fuzzer: the session engine re-run under feedback.
+//! The coverage-guided fuzzer: a [`Strategy`] of the one session loop.
 //!
-//! [`FeedbackFuzzer`] keeps the paper's four phases (scan → guide → mutate →
-//! detect) but replaces the fixed per-state packet count with an
-//! [`EnergySchedule`] and mixes the dictionary mutator with corpus replay:
-//! each test packet is either a fresh dictionary mutation or one of the
-//! splice / havoc / resend-with-field-mutation operators applied to a
+//! [`FeedbackFuzzer`] runs the paper's four phases (scan → guide → mutate →
+//! detect) in [`L2FuzzSession`](l2fuzz::session::L2FuzzSession)'s loop and
+//! changes only the two policies the loop leaves to its strategy: each
+//! round walks an [`EnergySchedule`] instead of a fixed per-state packet
+//! count, and each test packet is either a fresh dictionary mutation or one
+//! of the splice / havoc / resend-with-field-mutation operators applied to a
 //! retained [`CorpusEntry`] of the current state.  Every random decision
 //! derives from the campaign's per-target seed stream (domain label
 //! `0xFEED`), so feedback campaigns replay bit-for-bit at any executor
@@ -12,38 +13,28 @@
 
 use std::collections::BTreeMap;
 
-use btcore::{FuzzRng, SimClock, TargetOracle};
+use btcore::{FuzzRng, LinkType};
 use hci::link::Direction;
-use hci::medium::LinkHandle;
-use l2cap::code::CommandCode;
-use l2cap::jobs::job_of;
 use l2cap::packet::SignalingPacket;
 use l2cap::state::ChannelState;
 use l2fuzz::config::FuzzConfig;
-use l2fuzz::detector::{DetectionVerdict, VulnerabilityDetector};
 use l2fuzz::fuzzer::{FuzzCtx, Fuzzer};
-use l2fuzz::guide::{ChannelContext, StateGuide};
-use l2fuzz::mutator::CoreFieldMutator;
-use l2fuzz::queue::{PacketKind, PacketQueue};
-use l2fuzz::report::{FuzzReport, VulnerabilityFinding};
-use l2fuzz::retry::RetryPolicy;
-use l2fuzz::scanner::TargetScanner;
+use l2fuzz::queue::SendOutcome;
+use l2fuzz::report::FuzzReport;
+use l2fuzz::session::{L2FuzzTool, Parked, Strategy};
 use sniffer::coverage::CoverageBuilder;
 
 use crate::corpus::{CorpusEntry, FeedbackCorpus, NoveltyKey, ResponseClass};
 use crate::hub::CorpusHub;
 use crate::schedule::EnergySchedule;
 
-/// Domain-separation label for the feedback round-seed stream (disjoint from
-/// the session engine's `0x4C32` stream, so a feedback campaign and a
-/// dictionary campaign under the same campaign seed draw independent bytes).
-const FEEDBACK_DOMAIN: u64 = 0xFEED;
-
 /// Configuration of a feedback campaign.
 #[derive(Clone)]
 pub struct FeedbackConfig {
     /// The underlying session configuration (mutation switches, budgets,
-    /// seed).  `max_packets` caps each unit exactly as in dictionary mode.
+    /// seed).  `max_packets` caps each unit exactly as in dictionary mode;
+    /// configuration-option mutation is always on (see
+    /// [`FeedbackFuzzer::new`]).
     pub base: FuzzConfig,
     /// Rounds to run per unit before giving up on a hardened target.
     pub max_rounds: usize,
@@ -114,291 +105,153 @@ impl FeedbackConfig {
 /// select on a campaign with
 /// [`crate::FeedbackCampaignExt::feedback`].
 pub struct FeedbackFuzzer {
-    config: FeedbackConfig,
-    corpus: FeedbackCorpus,
-    visits: BTreeMap<ChannelState, u64>,
+    tool: L2FuzzTool<Feedback>,
+    hub: Option<CorpusHub>,
 }
 
 impl FeedbackFuzzer {
     /// Creates a fuzzer starting from the configuration's seed corpus.
+    ///
+    /// Feedback rounds always mutate configuration options: the
+    /// retransmission-mode surface lives behind the deep CONFIG/OPEN parks
+    /// the scheduler favours, exactly where corpus replay pays off (the
+    /// mutator ignores the switch on LE links).
     pub fn new(config: FeedbackConfig) -> FeedbackFuzzer {
-        FeedbackFuzzer {
-            corpus: config.seed_corpus.clone(),
+        let strategy = Feedback {
+            round_budget: config.round_budget,
+            corpus_ratio: config.corpus_ratio,
+            corpus: config.seed_corpus,
             visits: BTreeMap::new(),
-            config,
+            pick: FuzzRng::seed_from(0),
+            coverage: CoverageBuilder::default(),
+        };
+        FeedbackFuzzer {
+            tool: L2FuzzTool::with_strategy(
+                config.base.with_config_option_mutation(),
+                config.max_rounds,
+                strategy,
+            ),
+            hub: config.hub,
         }
-    }
-
-    /// The corpus accumulated so far (the seed corpus plus everything this
-    /// fuzzer retained).
-    pub fn corpus(&self) -> &FeedbackCorpus {
-        &self.corpus
     }
 }
 
 impl Fuzzer for FeedbackFuzzer {
     fn name(&self) -> &'static str {
-        "L2Fuzz+feedback"
+        self.tool.name()
     }
 
     fn fuzz(&mut self, ctx: &mut FuzzCtx<'_>) -> Option<FuzzReport> {
-        let mut merged: Option<FuzzReport> = None;
-        let mut round = 0u64;
-        while (round as usize) < self.config.max_rounds {
-            let remaining = ctx.remaining();
-            if remaining == Some(0) {
-                break;
-            }
-            let mut config = self.config.base.clone();
-            // Domain-separated round seed, mirroring the dictionary tool's
-            // round-seed derivation but on an independent stream.
-            config.seed = ctx
-                .stream_seed(self.config.base.seed ^ FEEDBACK_DOMAIN)
-                .wrapping_add(round);
-            if let Some(remaining) = remaining {
-                config.max_packets = if config.max_packets == 0 {
-                    remaining as usize
-                } else {
-                    config.max_packets.min(remaining as usize)
-                };
-            }
-            let before = ctx.link.frames_sent();
-            let round_start_secs = ctx.clock.now().as_secs();
-            let meta = ctx.meta.clone();
-            let clock = ctx.clock.clone();
-            let retry = ctx.retry;
-            let round_budget = self.config.round_budget;
-            let corpus_ratio = self.config.corpus_ratio;
-            let corpus = &mut self.corpus;
-            let visits = &mut self.visits;
-            let (link, oracle) = ctx.link_and_oracle();
-            let mut round_ctx = RoundCtx {
-                config,
-                clock,
-                retry,
-                round_budget,
-                corpus_ratio,
-                corpus,
-                visits,
-            };
-            let mut report = round_ctx.run(link, meta, oracle);
-            report.elapsed_secs = ctx.clock.now().as_secs();
-            for finding in &mut report.findings {
-                finding.elapsed_secs += round_start_secs;
-            }
-            let vulnerable = report.vulnerable();
-            let stalled = ctx.link.frames_sent() == before;
-            match merged {
-                None => merged = Some(report),
-                Some(ref mut total) => {
-                    total.packets_sent += report.packets_sent;
-                    total.malformed_sent += report.malformed_sent;
-                    for state in report.states_tested {
-                        if !total.states_tested.contains(&state) {
-                            total.states_tested.push(state);
-                        }
-                    }
-                    total.findings.extend(report.findings);
-                    total.elapsed_secs = report.elapsed_secs;
-                }
-            }
-            round += 1;
-            if vulnerable && self.config.base.stop_at_first_vulnerability {
-                break;
-            }
-            if stalled {
-                break;
-            }
+        let report = self.tool.fuzz(ctx);
+        if let Some(hub) = &self.hub {
+            hub.publish(ctx.seed, &self.tool.strategy().corpus);
         }
-        if let Some(hub) = &self.config.hub {
-            hub.publish(ctx.seed, &self.corpus);
-        }
-        merged
-    }
-}
-
-/// One feedback round: the four-phase session loop under an energy schedule,
-/// with corpus retention and replay.
-struct RoundCtx<'a> {
-    config: FuzzConfig,
-    clock: SimClock,
-    retry: RetryPolicy,
-    round_budget: u64,
-    corpus_ratio: f64,
-    corpus: &'a mut FeedbackCorpus,
-    visits: &'a mut BTreeMap<ChannelState, u64>,
-}
-
-impl RoundCtx<'_> {
-    fn run(
-        &mut self,
-        link: &mut LinkHandle,
-        meta: btcore::DeviceMeta,
-        mut oracle: Option<&mut dyn TargetOracle>,
-    ) -> FuzzReport {
-        let started = self.clock.now().as_secs();
-        let link_type = meta.link_type;
-        let mut rng = FuzzRng::seed_from(self.config.seed);
-        let mut scanner = TargetScanner::new();
-        let mut guide = StateGuide::new().with_retry(self.retry);
-        let mut mutator = CoreFieldMutator::with_options(
-            rng.fork(1),
-            self.config.core_fields_only,
-            self.config.append_garbage,
-            self.config.max_garbage_len,
-        );
-        mutator.set_link(link_type);
-        // Feedback mode always mutates configuration options on classic
-        // links: the retransmission-mode surface lives behind the deep
-        // CONFIG/OPEN parks the scheduler favours, exactly where corpus
-        // replay pays off.
-        mutator.set_config_option_mutation(self.config.mutate_config_options || !link_type.is_le());
-        let mut pick_rng = rng.fork(2);
-        let mut detector = VulnerabilityDetector::new_on(link_type).with_retry(self.retry);
-        let mut queue = PacketQueue::new();
-        let mut coverage = CoverageBuilder::for_link(link_type);
-
-        let scan = scanner.scan(meta.clone(), link);
-        let psm = scan.chosen_port.unwrap_or(btcore::Psm::SDP);
-
-        let mut report = FuzzReport {
-            fuzzer: "L2Fuzz+feedback".to_owned(),
-            target: meta,
-            scan,
-            states_tested: Vec::new(),
-            packets_sent: 0,
-            malformed_sent: 0,
-            findings: Vec::new(),
-            elapsed_secs: 0,
-        };
-
-        let budget = if self.config.max_packets > 0 {
-            self.round_budget.min(self.config.max_packets as u64)
-        } else {
-            self.round_budget
-        };
-        let schedule = EnergySchedule::plan(link_type, self.visits, budget);
-
-        'states: for alloc in schedule.allocations() {
-            let state = alloc.state;
-            // Count the attempt (not the success): a state whose prelude
-            // keeps failing must not hoard energy forever.
-            *self.visits.entry(state).or_insert(0) += 1;
-            let ctx = match link_type {
-                btcore::LinkType::BrEdr => guide.drive_to(link, psm, state),
-                btcore::LinkType::Le => guide.drive_to_le(link, psm, state),
-            };
-            let ctx = match ctx {
-                Some(ctx) => ctx,
-                None => continue,
-            };
-            report.states_tested.push(state);
-            let job = job_of(state);
-            let commands = job.generous_valid_commands_on(link_type);
-
-            for _ in 0..alloc.packets {
-                if self.config.max_packets > 0
-                    && queue.sent() + guide.transition_packets_sent() + detector.pings_sent()
-                        >= self.config.max_packets as u64
-                {
-                    break 'states;
-                }
-                let identifier = guide.next_identifier();
-                let packet = next_packet(
-                    self.corpus,
-                    &mut mutator,
-                    &mut pick_rng,
-                    self.corpus_ratio,
-                    &commands,
-                    state,
-                    link_type,
-                    &ctx,
-                    identifier,
-                );
-                coverage.saw_tx_signaling();
-                coverage.observe(Direction::Tx, &packet);
-                let outcome = queue.send_now(link, &packet, PacketKind::Malformed);
-                report.malformed_sent += 1;
-                for response in &outcome.responses {
-                    coverage.observe(
-                        Direction::Rx,
-                        &SignalingPacket::new(packet.identifier, response.clone()),
-                    );
-                }
-                let key = NoveltyKey {
-                    signature: coverage.signature_snapshot(),
-                    class: ResponseClass::of(&outcome),
-                };
-                if !self.corpus.contains(key) {
-                    self.corpus.consider(CorpusEntry {
-                        state,
-                        link: link_type,
-                        wire: packet.to_bytes(),
-                        key,
-                    });
-                }
-                let verdict = match oracle {
-                    Some(ref mut o) => detector.check(link, Some(&mut **o), outcome.silent),
-                    None => detector.check(link, None, outcome.silent),
-                };
-                if let DetectionVerdict::Vulnerable(evidence) = verdict {
-                    report.findings.push(VulnerabilityFinding {
-                        state,
-                        job,
-                        command: CommandCode::from_u8(packet.code)
-                            .unwrap_or(CommandCode::CommandReject),
-                        packet_hex: btcore::codec::hex_dump(&packet.to_bytes()),
-                        evidence,
-                        elapsed_secs: self.clock.now().as_secs().saturating_sub(started),
-                    });
-                    if self.config.stop_at_first_vulnerability {
-                        break 'states;
-                    }
-                }
-            }
-
-            guide.disconnect(link, ctx);
-        }
-
-        report.packets_sent =
-            queue.sent() + guide.transition_packets_sent() + detector.pings_sent();
-        report.elapsed_secs = self.clock.now().as_secs().saturating_sub(started);
         report
     }
 }
 
-/// Draws the next test packet: a corpus replay (resend / havoc / splice)
-/// with probability `corpus_ratio` when the current state has retained
-/// entries, a dictionary mutation otherwise.
-#[allow(clippy::too_many_arguments)]
-fn next_packet(
-    corpus: &FeedbackCorpus,
-    mutator: &mut CoreFieldMutator,
-    rng: &mut FuzzRng,
+/// The feedback engine's policies: an energy-scheduled walk, corpus replay
+/// and novelty-keyed retention.
+struct Feedback {
+    round_budget: u64,
     corpus_ratio: f64,
-    commands: &[CommandCode],
-    state: ChannelState,
-    link: btcore::LinkType,
-    ctx: &ChannelContext,
-    identifier: btcore::Identifier,
-) -> SignalingPacket {
-    let here: Vec<&CorpusEntry> = corpus.entries_for(state, link).collect();
-    if !here.is_empty() && rng.chance(corpus_ratio) {
-        let base = *rng.pick(&here);
-        match rng.range_usize(0, 2) {
-            0 => mutator.resend_with_field_mutation(&base.wire, ctx, identifier),
-            1 => mutator.havoc(&base.wire, identifier),
-            _ => {
-                // Splice against any retained packet of this link, not just
-                // this state — crossing parks is where splice earns its keep.
-                let partners: Vec<&CorpusEntry> =
-                    corpus.entries().iter().filter(|e| e.link == link).collect();
-                let partner = *rng.pick(&partners);
-                mutator.splice(&base.wire, &partner.wire, identifier)
+    /// The seed corpus plus everything retained so far.
+    corpus: FeedbackCorpus,
+    /// Attempts to park in each state, over every round so far.
+    visits: BTreeMap<ChannelState, u64>,
+    /// The round's replay generator and running coverage, replaced at the
+    /// start of every round.
+    pick: FuzzRng,
+    coverage: CoverageBuilder,
+}
+
+impl Strategy for Feedback {
+    const NAME: &'static str = "L2Fuzz+feedback";
+    /// Disjoint from the dictionary engine's `0x4C32` stream, so a feedback
+    /// campaign and a dictionary campaign under the same campaign seed draw
+    /// independent bytes.
+    const DOMAIN: u64 = 0xFEED;
+
+    fn walk(
+        &mut self,
+        config: &FuzzConfig,
+        link: LinkType,
+        rng: &mut FuzzRng,
+    ) -> Vec<(ChannelState, u64)> {
+        self.pick = rng.fork(2);
+        self.coverage = CoverageBuilder::for_link(link);
+        let budget = if config.max_packets > 0 {
+            self.round_budget.min(config.max_packets as u64)
+        } else {
+            self.round_budget
+        };
+        EnergySchedule::plan(link, &self.visits, budget)
+            .allocations()
+            .iter()
+            .map(|a| (a.state, a.packets))
+            .collect()
+    }
+
+    fn attempt(&mut self, state: ChannelState) {
+        // Count the attempt (not the success): a state whose prelude keeps
+        // failing must not hoard energy forever.
+        *self.visits.entry(state).or_insert(0) += 1;
+    }
+
+    /// A corpus replay (resend / havoc / splice) with probability
+    /// `corpus_ratio` when the state has retained entries, a dictionary
+    /// mutation otherwise; each packet takes its own guide identifier.
+    fn packet(&mut self, at: &mut Parked<'_>, _index: u64) -> SignalingPacket {
+        let identifier = at.guide.next_identifier();
+        let rng = &mut self.pick;
+        let here: Vec<&CorpusEntry> = self.corpus.entries_for(at.state, at.link).collect();
+        if !here.is_empty() && rng.chance(self.corpus_ratio) {
+            let base = *rng.pick(&here);
+            match rng.range_usize(0, 2) {
+                0 => at
+                    .mutator
+                    .resend_with_field_mutation(&base.wire, &at.channel, identifier),
+                1 => at.mutator.havoc(&base.wire, identifier),
+                _ => {
+                    // Splice against any retained packet of this link, not
+                    // just this state — crossing parks is where splice earns
+                    // its keep.
+                    let partners: Vec<&CorpusEntry> = self
+                        .corpus
+                        .entries()
+                        .iter()
+                        .filter(|e| e.link == at.link)
+                        .collect();
+                    let partner = *rng.pick(&partners);
+                    at.mutator.splice(&base.wire, &partner.wire, identifier)
+                }
             }
+        } else {
+            let code = *rng.pick(at.commands);
+            at.mutator.mutate(code, &at.channel, identifier)
         }
-    } else {
-        let code = *rng.pick(commands);
-        mutator.mutate(code, ctx, identifier)
+    }
+
+    fn learn(&mut self, at: &Parked<'_>, packet: &SignalingPacket, outcome: &SendOutcome) {
+        self.coverage.saw_tx_signaling();
+        self.coverage.observe(Direction::Tx, packet);
+        for response in &outcome.responses {
+            self.coverage.observe(
+                Direction::Rx,
+                &SignalingPacket::new(packet.identifier, response.clone()),
+            );
+        }
+        let key = NoveltyKey {
+            signature: self.coverage.signature_snapshot(),
+            class: ResponseClass::of(outcome),
+        };
+        if !self.corpus.contains(key) {
+            self.corpus.consider(CorpusEntry {
+                state: at.state,
+                link: at.link,
+                wire: packet.to_bytes(),
+                key,
+            });
+        }
     }
 }

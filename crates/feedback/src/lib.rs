@@ -16,7 +16,10 @@
 //! * [`FeedbackFuzzer`] is a drop-in [`l2fuzz::Fuzzer`] that splices corpus
 //!   entries with dictionary mutation (splice / havoc /
 //!   resend-with-field-mutation), selectable on any campaign via
-//!   [`FeedbackCampaignExt::feedback`].
+//!   [`FeedbackCampaignExt::feedback`].  It is not a second engine: it runs
+//!   [`l2fuzz::L2FuzzTool`] with a feedback [`l2fuzz::session::Strategy`],
+//!   so scanning, guiding, detection and the round driver are the
+//!   dictionary engine's own.
 //! * [`CorpusHub`] pools novelty across the units of a
 //!   [`l2fuzz::campaign::SeedSweepExecutor`] without breaking per-seed
 //!   isolation: units publish as they finish and the hub merges in canonical

@@ -38,18 +38,16 @@ pub struct EnergySchedule {
 impl EnergySchedule {
     /// Plans one round: `visits` counts how often each state has been fuzzed
     /// so far (absent = never), `budget` is the round's malformed-packet
-    /// pool.  The returned allocations are in canonical state order (the
-    /// session engine's own walk order); the energy weighting shapes how
-    /// much each state gets, not when it is visited.
+    /// pool.  The returned allocations are in canonical state order
+    /// ([`ChannelState::initiator_walk`], the dictionary engine's walk);
+    /// the energy weighting shapes how much each state gets, not when it is
+    /// visited.
     pub fn plan(
         link: LinkType,
         visits: &BTreeMap<ChannelState, u64>,
         budget: u64,
     ) -> EnergySchedule {
-        let states: &[ChannelState] = match link {
-            LinkType::BrEdr => &ChannelState::REACHABLE_FROM_INITIATOR,
-            LinkType::Le => &ChannelState::REACHABLE_FROM_INITIATOR_LE,
-        };
+        let states = ChannelState::initiator_walk(link);
         let plans = analysis::fuzz_plans(link);
         // weight = (1 + prelude_len) * SCALE / (1 + visits): depth in the
         // numerator, visitation in the denominator.
@@ -87,7 +85,7 @@ impl EnergySchedule {
             allocations[i].1 += 1;
             leftover -= 1;
         }
-        // Present in canonical state order — the session engine's own walk
+        // Present in canonical state order — the dictionary engine's walk
         // order, so shallow states are still exercised before the guide
         // spends transitions parking deep (the energy *split*, not the walk
         // order, is what favours depth).  Drop states that got nothing.

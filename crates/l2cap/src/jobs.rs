@@ -299,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn generous_boundaries_superset_of_strict() {
+    fn generous_commands_superset_of_strict() {
         for job in Job::ALL {
             let strict: BTreeSet<_> = job.valid_commands().into_iter().collect();
             let generous: BTreeSet<_> = job.generous_valid_commands().into_iter().collect();

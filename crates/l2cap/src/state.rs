@@ -143,13 +143,20 @@ impl ChannelState {
         ChannelState::REACHABLE_FROM_INITIATOR.contains(self)
     }
 
+    /// The states an initiator can drive a target channel into on `link`,
+    /// in canonical order: the walk of every fuzzing round, which the
+    /// session loop and the energy schedule share.
+    pub fn initiator_walk(link: LinkType) -> &'static [ChannelState] {
+        match link {
+            LinkType::BrEdr => &ChannelState::REACHABLE_FROM_INITIATOR,
+            LinkType::Le => &ChannelState::REACHABLE_FROM_INITIATOR_LE,
+        }
+    }
+
     /// Returns `true` if an initiator can drive a target channel into this
     /// state on the given link type.
     pub fn reachable_from_initiator_on(&self, link: LinkType) -> bool {
-        match link {
-            LinkType::BrEdr => self.reachable_from_initiator(),
-            LinkType::Le => ChannelState::REACHABLE_FROM_INITIATOR_LE.contains(self),
-        }
+        ChannelState::initiator_walk(link).contains(self)
     }
 
     /// Position of this state in [`ChannelState::ALL`] (0..19); used as the

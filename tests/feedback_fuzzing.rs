@@ -12,6 +12,7 @@ use l2fuzz::campaign::{
 };
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
+use service::digest::{trace_digest, Fnv64};
 
 /// Serializes every initiator of every target: reports as JSON, traces as
 /// raw timestamped bytes — the full observable output of a campaign.
@@ -172,31 +173,60 @@ fn detection_ablation_is_pinned() {
     // 51..=58. The dictionary engine gets configuration-option mutation on
     // D11: without it the ERTM zero-window seed is unreachable. Every run
     // must detect, so each figure is a real time to detection, not a
-    // censored spend.
+    // censored spend. The eight runs' trace digests, folded in seed order,
+    // pin every byte on the air, not just the counts.
     const SEEDS: [u64; 8] = [51, 52, 53, 54, 55, 56, 57, 58];
-    // One engine's packets to detection per seed, and their median.
-    type Pinned = ([u64; 8], u64);
+    // One engine's packets to detection per seed, their median and the
+    // fold of its trace digests.
+    type Pinned = ([u64; 8], u64, u64);
     // (target, dictionary, feedback).
     let expected: [(ProfileId, Pinned, Pinned); 3] = [
         (
             ProfileId::D9,
-            ([106, 974, 136, 105, 346, 103, 104, 104], 105),
-            ([52, 1101, 164, 109, 515, 70, 98, 84], 103),
+            (
+                [106, 974, 136, 105, 346, 103, 104, 104],
+                105,
+                0xb80d_25a0_5d7e_c243,
+            ),
+            (
+                [52, 1101, 164, 109, 515, 70, 98, 84],
+                103,
+                0xd040_1068_3360_7ab8,
+            ),
         ),
         (
             ProfileId::D10,
-            ([166, 269, 267, 161, 167, 160, 164, 165], 165),
-            ([287, 527, 557, 12, 92, 81, 61, 83], 87),
+            (
+                [166, 269, 267, 161, 167, 160, 164, 165],
+                165,
+                0x6739_a520_1560_9247,
+            ),
+            (
+                [287, 527, 557, 12, 92, 81, 61, 83],
+                87,
+                0xfe00_0fbc_1351_280d,
+            ),
         ),
         (
             ProfileId::D11,
-            ([469, 2146, 539, 1991, 690, 466, 619, 469], 579),
-            ([96, 1853, 150, 1467, 729, 84, 763, 85], 439),
+            (
+                [469, 2146, 539, 1991, 690, 466, 619, 469],
+                579,
+                0xf844_1987_cd96_348a,
+            ),
+            (
+                [96, 1853, 150, 1467, 729, 84, 763, 85],
+                439,
+                0xe184_9335_04cc_4a81,
+            ),
         ),
     ];
-    for (id, (dict_expected, dict_median), (fb_expected, fb_median)) in expected {
+    for (id, (dict_expected, dict_median, dict_fold), (fb_expected, fb_median, fb_fold)) in expected
+    {
         let mut dictionary = Vec::new();
         let mut feedback = Vec::new();
+        let mut dictionary_traces = Fnv64::new();
+        let mut feedback_traces = Fnv64::new();
         for seed in SEEDS {
             let dict = Campaign::builder()
                 .target(DeviceProfile::table5(id))
@@ -211,10 +241,13 @@ fn detection_ablation_is_pinned() {
                 .seed(seed)
                 .run()
                 .expect("dictionary campaign runs")
-                .into_single()
-                .report;
-            assert!(dict.vulnerable(), "{id} seed {seed}: dictionary missed");
-            dictionary.push(dict.packets_sent);
+                .into_single();
+            assert!(
+                dict.report.vulnerable(),
+                "{id} seed {seed}: dictionary missed"
+            );
+            dictionary.push(dict.report.packets_sent);
+            dictionary_traces.write_u64(trace_digest(&dict.trace));
 
             let fb = Campaign::builder()
                 .target(DeviceProfile::table5(id))
@@ -222,14 +255,20 @@ fn detection_ablation_is_pinned() {
                 .seed(seed)
                 .run()
                 .expect("feedback campaign runs")
-                .into_single()
-                .report;
-            assert!(fb.vulnerable(), "{id} seed {seed}: feedback missed");
-            feedback.push(fb.packets_sent);
+                .into_single();
+            assert!(fb.report.vulnerable(), "{id} seed {seed}: feedback missed");
+            feedback.push(fb.report.packets_sent);
+            feedback_traces.write_u64(trace_digest(&fb.trace));
         }
         assert_eq!(dictionary, dict_expected, "{id}: dictionary packets");
         assert_eq!(feedback, fb_expected, "{id}: feedback packets");
         assert_eq!(median(&dictionary), dict_median, "{id}: dictionary median");
         assert_eq!(median(&feedback), fb_median, "{id}: feedback median");
+        assert_eq!(
+            dictionary_traces.finish(),
+            dict_fold,
+            "{id}: dictionary traces"
+        );
+        assert_eq!(feedback_traces.finish(), fb_fold, "{id}: feedback traces");
     }
 }

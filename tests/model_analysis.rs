@@ -120,7 +120,7 @@ fn guide_executes_every_le_plan_against_a_simulated_device() {
     for state in ChannelState::ALL {
         let (_dev, mut link) = link_to(ProfileId::D9);
         let mut guide = StateGuide::new();
-        let ctx = guide.drive_to_le(&mut link, Psm::EATT, state);
+        let ctx = guide.drive_to(&mut link, Psm::EATT, state);
         if ChannelState::REACHABLE_FROM_INITIATOR_LE.contains(&state) {
             assert!(ctx.is_some(), "LE plan for {state} must execute");
         } else {
