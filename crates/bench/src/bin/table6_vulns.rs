@@ -1,6 +1,6 @@
 //! Regenerates Table VI: vulnerability detection results of L2Fuzz on D1-D8.
-//! The eight per-device campaigns run sharded across four worker threads;
-//! results are identical to a serial run of the same seed.
+//! The eight per-device campaigns run sharded across one worker thread per
+//! core; results are identical to a serial run of the same seed.
 use bench::table6_survey;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         "{:<5}{:<16}{:<8}{:<14}{:<14}",
         "Dev", "Name", "Vuln?", "Description", "Elapsed"
     );
-    for outcome in table6_survey(1000, max_campaigns, 4).targets {
+    for outcome in table6_survey(1000, max_campaigns).targets {
         let id = outcome.profile.id;
         let report = &outcome.report;
         match report.findings.first() {

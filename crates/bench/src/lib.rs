@@ -9,7 +9,7 @@
 #![warn(missing_docs)]
 
 use btstack::profiles::{DeviceProfile, ProfileId};
-use l2fuzz::campaign::{Campaign, CampaignOutcome, OraclePolicy, ShardedExecutor};
+use l2fuzz::campaign::{run_sharded, Campaign, CampaignError, CampaignOutcome, OraclePolicy};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::{Fuzzer, TxBudget};
 use l2fuzz::report::FuzzReport;
@@ -33,18 +33,24 @@ pub fn run_table6_campaign(id: ProfileId, seed: u64, max_campaigns: usize) -> Fu
         .report
 }
 
+/// Worker threads for the multi-campaign experiments: one per available
+/// core.  Outcomes do not depend on it.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Runs the Table VI detection experiment against every Table V device at
-/// once, sharded across worker threads.  Per-target outcomes come back in
-/// Table V order and are bit-for-bit identical to a serial run of the same
-/// seed; the outcome's `elapsed` is the campaign wall-clock (longest
-/// per-device time).
-pub fn table6_survey(seed: u64, max_campaigns: usize, threads: usize) -> CampaignOutcome {
+/// once, sharded across one worker thread per core.  Per-target outcomes
+/// come back in Table V order and are bit-for-bit identical to a serial run
+/// of the same seed; the outcome's `elapsed` is the campaign wall-clock
+/// (longest per-device time).
+pub fn table6_survey(seed: u64, max_campaigns: usize) -> CampaignOutcome {
     Campaign::builder()
         .targets(DeviceProfile::all())
         .fuzzer(move || Box::new(L2FuzzTool::detection(FuzzConfig::default(), max_campaigns)))
         .oracle(OraclePolicy::OutOfBand)
         .seed(seed)
-        .executor(ShardedExecutor::new(threads))
+        .threads(workers())
         .run()
         .expect("table 6 survey runs")
 }
@@ -82,8 +88,8 @@ fn run_comparison_tool(
     budget: usize,
     seed: u64,
     index: usize,
-    name: &'static str,
-) -> ComparisonRun {
+) -> Result<ComparisonRun, CampaignError> {
+    let name = COMPARISON_TOOLS[index];
     let outcome = Campaign::builder()
         .target(DeviceProfile::table5(ProfileId::D2))
         .fuzzer(move || spawn_tool(name))
@@ -91,26 +97,15 @@ fn run_comparison_tool(
         .oracle(OraclePolicy::None)
         .auto_restart(true)
         .seed(seed.wrapping_add(index as u64))
-        .run()
-        .expect("comparison campaign runs")
+        .run()?
         .into_single();
     let analysis = TraceAnalysis::from_trace(&outcome.trace);
-    ComparisonRun {
+    Ok(ComparisonRun {
         name,
         metrics: analysis.metrics,
         coverage: analysis.coverage,
         trace: outcome.trace,
-    }
-}
-
-/// Single-core path of [`run_comparison`]: the four campaigns run back to
-/// back on the calling thread.
-fn run_comparison_serial(budget: usize, seed: u64) -> Vec<ComparisonRun> {
-    COMPARISON_TOOLS
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| run_comparison_tool(budget, seed, i, name))
-        .collect()
+    })
 }
 
 /// Runs all four fuzzers against a fresh Pixel 3 (D2) bench with the given
@@ -119,28 +114,22 @@ fn run_comparison_serial(budget: usize, seed: u64) -> Vec<ComparisonRun> {
 /// oracle — metrics come from the sniffed trace, as in the paper).
 ///
 /// The four campaigns are fully isolated — own clock, own air medium, own
-/// RNG streams — so on a multi-core host they run concurrently, one worker
-/// thread per tool, and the per-tool traces and metrics are bit-for-bit what
-/// a serial run produces.  Results come back in [`COMPARISON_TOOLS`] order.
+/// RNG streams — so they run concurrently, one worker thread per core, and
+/// the per-tool traces and metrics are bit-for-bit what a serial run
+/// produces.  Results come back in [`COMPARISON_TOOLS`] order.
 pub fn run_comparison(budget: usize, seed: u64) -> Vec<ComparisonRun> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if workers <= 1 {
-        // Single-core host: spawning threads only adds overhead.
-        return run_comparison_serial(budget, seed);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = COMPARISON_TOOLS
-            .into_iter()
-            .enumerate()
-            .map(|(i, name)| scope.spawn(move || run_comparison_tool(budget, seed, i, name)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("comparison worker panicked"))
-            .collect()
-    })
+    let mut runs = Vec::with_capacity(COMPARISON_TOOLS.len());
+    run_sharded(
+        COMPARISON_TOOLS.len(),
+        workers(),
+        |index| run_comparison_tool(budget, seed, index),
+        |_, run| {
+            runs.push(run);
+            Ok(())
+        },
+    )
+    .expect("comparison campaigns run");
+    runs
 }
 
 /// Packet budget used by the experiment binaries.  The paper uses 100,000

@@ -25,10 +25,10 @@
 //! own [`EventMedium`], and RNG streams derived from the campaign seed and
 //! the target's position in the list.  Nothing is shared between targets,
 //! so the per-target [`FuzzReport`]s and traces are a pure function of the
-//! campaign seed — identical under [`SerialExecutor`] and under
-//! [`ShardedExecutor`] at any thread count.  *Within* a target, concurrent
-//! initiators are serialized by the medium's event scheduler in virtual-time
-//! order, so multi-initiator campaigns replay bit-for-bit too.
+//! campaign seed — identical at any [`CampaignBuilder::threads`] count.
+//! *Within* a target, concurrent initiators are serialized by the medium's
+//! event scheduler in virtual-time order, so multi-initiator campaigns
+//! replay bit-for-bit too.
 //! `tests/deterministic_replay.rs` enforces all of this.
 //!
 //! # Concurrent initiators
@@ -43,16 +43,19 @@
 //! campaigns look exactly like before); the rest are in
 //! [`TargetOutcome::secondary`].
 //!
-//! # Executors
+//! # Seeds and threads
 //!
-//! [`CampaignExecutor`] decides how the per-target environments are driven:
-//! [`SerialExecutor`] runs them one after another on the calling thread,
-//! [`ShardedExecutor`] partitions them across worker threads, and
-//! [`SeedSweepExecutor`] runs *many campaigns per target* — one per sweep
-//! seed — which is how probability-gated triggers (the LE credit-flow
-//! vulnerabilities) get a fair chance to fire.
+//! A campaign runs one isolated unit per `(target, seed)` pair, target-major.
+//! [`CampaignBuilder::seed`] gives every target one campaign;
+//! [`CampaignBuilder::seeds`] gives it *many* — one per sweep seed — which
+//! is how probability-gated triggers (the LE credit-flow vulnerabilities)
+//! get a fair chance to fire.  [`CampaignBuilder::threads`] spreads the
+//! units over [`run_sharded`]'s worker pool, the same pool the sweep
+//! service and the tool comparison run on.
 
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use btcore::{BtError, DeviceMeta, LinkType, SimClock};
@@ -60,7 +63,6 @@ use btstack::device::{share, DeviceOracle, SharedSimulatedDevice};
 use btstack::profiles::DeviceProfile;
 use hci::link::{new_tap, LinkConfig, SharedTap};
 use hci::medium::{EventGate, EventMedium, LinkHandle, LinkSpec};
-use parking_lot::Mutex;
 use sniffer::Trace;
 
 use crate::config::FuzzConfig;
@@ -75,10 +77,6 @@ use btcore::FuzzRng;
 
 /// Creates one fresh fuzzer instance per campaign initiator.
 pub type FuzzerSpawner = Arc<dyn Fn() -> Box<dyn Fuzzer> + Send + Sync>;
-
-/// What a finished builder decomposes into: the shareable plan, the executor
-/// driving it, and the optional observer clock.
-type PlanParts = (CampaignPlan, Box<dyn CampaignExecutor>, Option<SimClock>);
 
 /// Whether campaign targets are observed out of band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,9 +117,10 @@ impl LinkPlan {
 pub enum CampaignError {
     /// `run()` was called without any target device.
     NoTargets,
-    /// `env()` was called on a campaign with more than one target.
+    /// `env()` was called on a campaign with more than one `(target, seed)`
+    /// unit.
     MultipleTargets {
-        /// How many targets the builder held.
+        /// How many `(target, seed)` units the builder held.
         count: usize,
     },
     /// A target environment could not establish an ACL link.
@@ -140,7 +139,10 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::NoTargets => write!(f, "campaign has no target devices"),
             CampaignError::MultipleTargets { count } => {
-                write!(f, "manual env() needs exactly one target, got {count}")
+                write!(
+                    f,
+                    "manual env() needs exactly one (target, seed) unit, got {count}"
+                )
             }
             CampaignError::Connect {
                 profile,
@@ -161,9 +163,8 @@ impl std::error::Error for CampaignError {}
 
 /// A fully wired, isolated environment for one campaign target.
 ///
-/// Campaign executors build one of these per target; hand-driven flows (the
-/// BlueBorne replay, the Pixel 3 case study) obtain one through
-/// [`CampaignBuilder::env`] instead of wiring a medium by hand.
+/// Hand-driven flows (the BlueBorne replay, the Pixel 3 case study) obtain
+/// one through [`CampaignBuilder::env`] instead of wiring a medium by hand.
 pub struct TargetEnv {
     /// The profile this environment instantiates.
     pub profile: DeviceProfile,
@@ -197,18 +198,28 @@ impl TargetEnv {
     }
 }
 
-/// The immutable description of a campaign, shared by every executor shard.
+/// The immutable description of a campaign, shared by every worker.
 pub struct CampaignPlan {
     targets: Vec<DeviceProfile>,
+    seeds: Vec<u64>,
+    threads: usize,
     spawner: FuzzerSpawner,
     budget: TxBudget,
     oracle: OraclePolicy,
     faults: FaultPlan,
-    seed: u64,
     auto_restart: bool,
     link_plan: LinkPlan,
     retry: RetryPolicy,
     watchdog_micros: Option<u64>,
+}
+
+/// `count` campaign seeds derived from `base` by SplitMix64 — the way to
+/// give every target `count` independent chances with
+/// [`CampaignBuilder::seeds`].
+pub fn derived_seeds(base: u64, count: usize) -> Vec<u64> {
+    (0..count as u64)
+        .map(|i| btcore::splitmix64(base.wrapping_add(i)))
+        .collect()
 }
 
 /// Per-target seed derivation: the campaign seed and the target's position
@@ -310,16 +321,6 @@ struct TargetSetup {
 }
 
 impl CampaignPlan {
-    /// Number of targets in the campaign.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// The campaign seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn build_setup(
         &self,
         index: usize,
@@ -387,32 +388,11 @@ impl CampaignPlan {
         })
     }
 
-    fn build_env_on(&self, index: usize, clock: SimClock) -> Result<TargetEnv, CampaignError> {
-        let mut setup = self.build_setup(index, self.seed, clock)?;
-        let initiator = setup.initiators.remove(0);
-        Ok(TargetEnv {
-            profile: setup.profile,
-            device: setup.device,
-            link: initiator.link,
-            tap: initiator.tap,
-            clock: setup.clock,
-            meta: initiator.meta,
-            seed: setup.seed,
-        })
-    }
-
     /// Builds the environment for target `index`, runs the campaign's
-    /// fuzzer(s) in it and collects the outcome, deriving everything from
-    /// the plan's own campaign seed.  This is the unit of work executors
-    /// schedule; it touches no shared state, which is what makes sharding
-    /// deterministic.
-    pub fn run_target(&self, index: usize) -> Result<TargetOutcome, CampaignError> {
-        self.run_target_with_seed(index, self.seed)
-    }
-
-    /// Like [`CampaignPlan::run_target`], but derives the target's streams
-    /// from `campaign_seed` instead of the plan's — the unit of work of
-    /// [`SeedSweepExecutor`], which runs one campaign per sweep seed.
+    /// fuzzer(s) in it and collects the outcome, deriving every stream from
+    /// `campaign_seed`.  This is the unit of work of
+    /// [`CampaignBuilder::run`] and of the sweep service; it touches no
+    /// shared state, which is what makes sharding deterministic.
     pub fn run_target_with_seed(
         &self,
         index: usize,
@@ -572,8 +552,8 @@ pub struct TargetOutcome {
     /// The remaining initiators' outcomes, in link order (empty unless the
     /// campaign ran concurrent initiators).
     pub secondary: Vec<InitiatorOutcome>,
-    /// The campaign seed this outcome derives from (differs from the
-    /// builder's seed under [`SeedSweepExecutor`]).
+    /// The campaign seed this outcome derives from: the builder's seed, or
+    /// one of its [`CampaignBuilder::seeds`].
     pub campaign_seed: u64,
     /// Virtual time the target's environment consumed (the latest fired
     /// event across all links).
@@ -612,11 +592,12 @@ impl TargetOutcome {
 
 /// The result of a whole campaign, targets in the order they were added.
 ///
-/// Under [`SeedSweepExecutor`] there is one entry per `(target, seed)` pair,
-/// target-major — all sweep seeds of target 0 first, then target 1, and so
-/// on; [`TargetOutcome::campaign_seed`] identifies the sweep seed.
+/// There is one entry per `(target, seed)` pair, target-major — with
+/// several [`CampaignBuilder::seeds`], all seeds of target 0 come first,
+/// then target 1, and so on; [`TargetOutcome::campaign_seed`] identifies
+/// the seed.
 pub struct CampaignOutcome {
-    /// One outcome per target (or per target × sweep seed).
+    /// One outcome per `(target, seed)` pair.
     pub targets: Vec<TargetOutcome>,
     /// Campaign wall-clock: the longest per-target virtual time (targets run
     /// in parallel in the modelled world).
@@ -646,213 +627,87 @@ impl CampaignOutcome {
     }
 }
 
-/// Strategy for driving the per-target environments of a campaign.
-pub trait CampaignExecutor: Send + Sync {
-    /// Executor name for logs.
-    fn name(&self) -> &'static str;
-
-    /// Runs every target of `plan` and returns the outcomes in target order.
-    ///
-    /// # Errors
-    /// Propagates the first [`CampaignError`] any target hit.
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError>;
-}
-
-/// Runs targets one after another on the calling thread; bit-for-bit the
-/// behaviour the hand-rolled experiment harnesses had.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl CampaignExecutor for SerialExecutor {
-    fn name(&self) -> &'static str {
-        "serial"
+/// Runs `units` isolated work items on up to `workers` threads and hands
+/// each result to `commit` on the calling thread, strictly in unit order.
+///
+/// This is the one worker pool of the repository: campaigns, the sweep
+/// service and the tool comparison all run on it.  Workers claim units from
+/// an atomic index as they go idle — per-unit runtimes are skewed by orders
+/// of magnitude (a hardened device burns its full round cap while a fragile
+/// one falls instantly) — and each unit is isolated and committed by index,
+/// so threading changes wall-clock time only.  With one worker or one unit
+/// everything runs inline and nothing is spawned.
+///
+/// # Errors
+/// Returns the first error in unit order, from `run` or from `commit`.  Any
+/// error stops new claims at once; results of units still in flight are
+/// dropped.
+///
+/// # Panics
+/// A unit that panics stops new claims, and its payload is re-raised on the
+/// calling thread with [`std::panic::resume_unwind`], so a
+/// [`WatchdogExpired`](hci::fault::WatchdogExpired) stays typed.
+pub fn run_sharded<T: Send, E: Send>(
+    units: usize,
+    workers: usize,
+    run: impl Fn(usize) -> Result<T, E> + Sync,
+    mut commit: impl FnMut(usize, T) -> Result<(), E>,
+) -> Result<(), E> {
+    let workers = workers.min(units);
+    if workers <= 1 {
+        for index in 0..units {
+            commit(index, run(index)?)?;
+        }
+        return Ok(());
     }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        (0..plan.target_count())
-            .map(|i| plan.run_target(i))
-            .collect()
-    }
-}
-
-/// Drives `units` isolated work items across `workers` threads with a
-/// dynamic work index, collecting results in unit order.  Each unit is
-/// self-contained, so threading changes wall-clock time only — the shared
-/// machinery of [`ShardedExecutor`] and [`SeedSweepExecutor`], generic over
-/// the unit result so engines layered on top of the campaign API (the
-/// coverage-feedback corpus merge, for one) shard their own unit types
-/// through the identical scheduling discipline instead of reinventing it.
-pub fn run_sharded<T, F>(units: usize, workers: usize, run: F) -> Result<Vec<T>, CampaignError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CampaignError> + Sync,
-{
-    let slots: Vec<Mutex<Option<Result<T, CampaignError>>>> =
-        (0..units).map(|_| Mutex::new(None)).collect();
-    // Dynamic work index rather than static striping: per-unit runtimes are
-    // skewed by orders of magnitude (a hardened device burns its full round
-    // cap while a fragile one falls instantly), so idle workers pull the
-    // next pending unit.  Determinism is untouched — each unit's
-    // environment is isolated and its outcome is keyed by index.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
+    // Slot `i` receives unit `i`'s result, or the payload of its panic.
+    // parking_lot's vendored stub has no Condvar, so the commit queue pairs a
+    // std mutex with a std condvar.  Every update under the lock is a single
+    // slot store or take, so a poisoned lock still guards valid slots.  The
+    // atomics publish no data (results travel through the mutex), so
+    // `Relaxed` suffices for them.
+    let slots = Mutex::new(Vec::from_iter((0..units).map(|_| None)));
+    let ready = Condvar::new();
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            let failed = &failed;
-            let run = &run;
-            scope.spawn(move || loop {
-                // Fail fast: once any unit errors the whole campaign is
-                // doomed, so don't burn the remaining units' runtimes.
-                if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= units {
+                        break;
+                    }
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| run(index)));
+                    if !matches!(result, Ok(Ok(_))) {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(result);
+                    ready.notify_all();
                 }
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= units {
-                    break;
-                }
-                let outcome = run(index);
-                if outcome.is_err() {
-                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                *slots[index].lock() = Some(outcome);
             });
         }
-    });
-    if failed.into_inner() {
-        // Return the first error in unit order.
-        for slot in slots {
-            if let Some(Err(e)) = slot.into_inner() {
-                return Err(e);
+        // Units are claimed in ascending order and a claimed unit always
+        // fills its slot, so every wait below ends: the loop stops at the
+        // first failed slot before it can wait on an unclaimed one.
+        let committed = (0..units).try_for_each(|index| {
+            let result = {
+                let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    match guard[index].take() {
+                        Some(result) => break result,
+                        None => guard = ready.wait(guard).unwrap_or_else(PoisonError::into_inner),
+                    }
+                }
+            };
+            match result {
+                Ok(outcome) => commit(index, outcome?),
+                Err(payload) => panic::resume_unwind(payload),
             }
-        }
-        unreachable!("a failure was flagged but no slot holds an error");
-    }
-    slots
-        .into_iter()
-        // analyzer: allow(panic) — workers either fill every slot or flag a
-        // failure, which returned above.
-        .map(|slot| slot.into_inner().expect("every worker fills its slots"))
-        .collect()
-}
-
-/// Distributes targets across worker threads.
-///
-/// Workers pull targets off a shared work index as they go idle, so skewed
-/// per-target runtimes balance out.  Each target still runs in its own
-/// isolated environment (own clock, own medium, own RNG streams), so the
-/// per-target results are identical to [`SerialExecutor`]'s at any thread
-/// count — threading only changes wall-clock time.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedExecutor {
-    threads: usize,
-}
-
-impl ShardedExecutor {
-    /// Creates an executor with the given number of worker threads (at least
-    /// one).
-    pub fn new(threads: usize) -> Self {
-        ShardedExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl CampaignExecutor for ShardedExecutor {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        let n = plan.target_count();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return SerialExecutor.execute(plan);
-        }
-        run_sharded(n, workers, |index| plan.run_target(index))
-    }
-}
-
-/// Runs *many campaigns per target* — one per sweep seed — and returns the
-/// outcomes target-major (all sweep seeds of target 0, then target 1, ...).
-///
-/// Sweeping is how probability-gated triggers get their shot: a
-/// vulnerability that fires on only a few percent of matching packets can
-/// easily survive one campaign, but rarely survives eight independently
-/// seeded ones.  Each `(target, seed)` unit is a fully isolated campaign,
-/// so sweeps shard across worker threads with the same bit-for-bit
-/// determinism guarantee as [`ShardedExecutor`].
-///
-/// Feedback engines pool discoveries across the sweep barrier-free: a unit
-/// *publishes* (never reads) its findings into a shared accumulator keyed by
-/// its sweep seed as it finishes, and the accumulator is only merged — in
-/// canonical seed order, independent of completion order — after
-/// [`SeedSweepExecutor::execute`] returns.  Publish-only sharing keeps every
-/// unit a pure function of its `(target, seed)` pair, so the sweep stays
-/// bit-for-bit replayable at any thread count while still pooling novelty
-/// (see the `feedback` crate's corpus hub, which implements this contract on
-/// top of [`run_sharded`]'s work index).
-#[derive(Debug, Clone)]
-pub struct SeedSweepExecutor {
-    seeds: Vec<u64>,
-    threads: usize,
-}
-
-impl SeedSweepExecutor {
-    /// Creates a serial sweep over the given seeds.
-    ///
-    /// # Panics
-    /// Panics if `seeds` is empty — a sweep with no seeds runs nothing.
-    pub fn new(seeds: impl IntoIterator<Item = u64>) -> Self {
-        let seeds: Vec<u64> = seeds.into_iter().collect();
-        assert!(!seeds.is_empty(), "seed sweep needs at least one seed");
-        SeedSweepExecutor { seeds, threads: 1 }
-    }
-
-    /// A sweep over `count` seeds derived from `base` (a convenient way to
-    /// say "give this target `count` independent chances").
-    pub fn derived(base: u64, count: usize) -> Self {
-        assert!(count > 0, "seed sweep needs at least one seed");
-        SeedSweepExecutor::new((0..count as u64).map(|i| btcore::splitmix64(base.wrapping_add(i))))
-    }
-
-    /// Shards the sweep's `(target, seed)` units across `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The sweep's seeds, in execution order.
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-}
-
-impl CampaignExecutor for SeedSweepExecutor {
-    fn name(&self) -> &'static str {
-        "seed-sweep"
-    }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        let per_target = self.seeds.len();
-        let units = plan.target_count() * per_target;
-        let workers = self.threads.min(units.max(1));
-        let unit = |index: usize| {
-            let target = index / per_target;
-            let seed = self.seeds[index % per_target];
-            plan.run_target_with_seed(target, seed)
-        };
-        if workers <= 1 {
-            return (0..units).map(unit).collect();
-        }
-        run_sharded(units, workers, unit)
-    }
+        });
+        stop.store(true, Ordering::Relaxed);
+        committed
+    })
 }
 
 /// Marker type; use [`Campaign::builder`].
@@ -874,9 +729,9 @@ pub struct CampaignBuilder {
     budget: TxBudget,
     oracle: OraclePolicy,
     faults: FaultPlan,
-    seed: u64,
+    seeds: Vec<u64>,
+    threads: usize,
     auto_restart: bool,
-    executor: Box<dyn CampaignExecutor>,
     link_plan: LinkPlan,
     retry: Option<RetryPolicy>,
     watchdog_micros: Option<u64>,
@@ -891,9 +746,9 @@ impl Default for CampaignBuilder {
             budget: TxBudget::unlimited(),
             oracle: OraclePolicy::OutOfBand,
             faults: FaultPlan::none(),
-            seed: FuzzConfig::default().seed,
+            seeds: vec![FuzzConfig::default().seed],
+            threads: 1,
             auto_restart: false,
-            executor: Box::new(SerialExecutor),
             link_plan: LinkPlan::Single,
             retry: None,
             watchdog_micros: None,
@@ -950,8 +805,31 @@ impl CampaignBuilder {
     }
 
     /// Sets the campaign seed; every per-target RNG stream derives from it.
+    /// Replaces a previous `seeds()` list.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.seeds = vec![seed];
+        self
+    }
+
+    /// Runs one campaign per seed for every target — a seed sweep, so a
+    /// vulnerability that fires on only a few percent of matching packets
+    /// gets several independent chances.  Outcomes come back target-major:
+    /// all seeds of target 0, then target 1, and so on.  Replaces a previous
+    /// `seed()`.
+    ///
+    /// # Panics
+    /// Panics if `seeds` is empty — a sweep with no seeds runs nothing.
+    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
+        self.seeds = seeds.into_iter().collect();
+        assert!(!self.seeds.is_empty(), "seed sweep needs at least one seed");
+        self
+    }
+
+    /// Spreads the `(target, seed)` units over `n` worker threads (default
+    /// 1; clamped to at least 1).  Every unit runs in an isolated
+    /// environment, so the outcomes are identical at any thread count.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = n.max(1);
         self
     }
 
@@ -1021,13 +899,7 @@ impl CampaignBuilder {
         self
     }
 
-    /// Sets the executor (default: [`SerialExecutor`]).
-    pub fn executor(mut self, executor: impl CampaignExecutor + 'static) -> Self {
-        self.executor = Box::new(executor);
-        self
-    }
-
-    fn into_plan(self) -> Result<PlanParts, CampaignError> {
+    fn into_plan(self) -> Result<(CampaignPlan, Option<SimClock>), CampaignError> {
         if self.targets.is_empty() {
             return Err(CampaignError::NoTargets);
         }
@@ -1044,17 +916,17 @@ impl CampaignBuilder {
         Ok((
             CampaignPlan {
                 targets: self.targets,
+                seeds: self.seeds,
+                threads: self.threads,
                 spawner,
                 budget: self.budget,
                 oracle: self.oracle,
                 faults: self.faults,
-                seed: self.seed,
                 auto_restart: self.auto_restart,
                 link_plan: self.link_plan,
                 retry,
                 watchdog_micros: self.watchdog_micros,
             },
-            self.executor,
             self.clock,
         ))
     }
@@ -1062,13 +934,13 @@ impl CampaignBuilder {
     /// Builds the campaign's immutable plan without running anything — the
     /// entry point for schedulers (such as the sweep service) that own job
     /// dispatch themselves and call [`CampaignPlan::run_target_with_seed`]
-    /// per unit of work.  The executor and clock settings do not apply: the
-    /// caller is the executor.
+    /// per unit of work.  The seeds, threads and clock settings do not
+    /// apply: the caller picks the units.
     ///
     /// # Errors
     /// Returns [`CampaignError::NoTargets`] for an empty target list.
     pub fn plan(self) -> Result<CampaignPlan, CampaignError> {
-        let (plan, _, _) = self.into_plan()?;
+        let (plan, _) = self.into_plan()?;
         Ok(plan)
     }
 
@@ -1080,8 +952,19 @@ impl CampaignBuilder {
     /// established (including dual-transport campaigns against a target
     /// that is not dual-mode).
     pub fn run(self) -> Result<CampaignOutcome, CampaignError> {
-        let (plan, executor, clock) = self.into_plan()?;
-        let targets = executor.execute(&plan)?;
+        let (plan, clock) = self.into_plan()?;
+        let per_target = plan.seeds.len();
+        let units = plan.targets.len() * per_target;
+        let mut targets = Vec::with_capacity(units);
+        run_sharded(
+            units,
+            plan.threads,
+            |unit| plan.run_target_with_seed(unit / per_target, plan.seeds[unit % per_target]),
+            |_, outcome| {
+                targets.push(outcome);
+                Ok(())
+            },
+        )?;
         let elapsed = targets.iter().map(|t| t.elapsed).max().unwrap_or_default();
         if let Some(clock) = clock {
             clock.advance(elapsed);
@@ -1091,7 +974,7 @@ impl CampaignBuilder {
 
     /// Builds the isolated environment of the campaign's single target
     /// without running a fuzzer — the entry point for hand-driven flows such
-    /// as the BlueBorne replay.  Fuzzer, budget, oracle, executor and
+    /// as the BlueBorne replay.  Fuzzer, budget, oracle, threads and
     /// initiator-count settings do not apply (nothing is run, and a manual
     /// harness drives exactly one link); a clock set via
     /// [`CampaignBuilder::clock`] *does* apply and becomes the environment's
@@ -1099,17 +982,27 @@ impl CampaignBuilder {
     ///
     /// # Errors
     /// Same conditions as [`CampaignBuilder::run`], plus
-    /// [`CampaignError::MultipleTargets`] when more than one target was
-    /// added — a manual harness drives exactly one device.
+    /// [`CampaignError::MultipleTargets`] when the builder holds more than
+    /// one `(target, seed)` unit — a manual harness drives exactly one
+    /// device under one seed.
     pub fn env(self) -> Result<TargetEnv, CampaignError> {
-        let (mut plan, _, clock) = self.into_plan()?;
-        if plan.target_count() > 1 {
-            return Err(CampaignError::MultipleTargets {
-                count: plan.target_count(),
-            });
+        let (mut plan, clock) = self.into_plan()?;
+        let units = plan.targets.len() * plan.seeds.len();
+        if units > 1 {
+            return Err(CampaignError::MultipleTargets { count: units });
         }
         plan.link_plan = LinkPlan::Single;
-        plan.build_env_on(0, clock.unwrap_or_default())
+        let mut setup = plan.build_setup(0, plan.seeds[0], clock.unwrap_or_default())?;
+        let initiator = setup.initiators.remove(0);
+        Ok(TargetEnv {
+            profile: setup.profile,
+            device: setup.device,
+            link: initiator.link,
+            tap: initiator.tap,
+            clock: setup.clock,
+            meta: initiator.meta,
+            seed: setup.seed,
+        })
     }
 }
 
@@ -1172,24 +1065,21 @@ mod tests {
 
     #[test]
     fn serial_and_sharded_executors_agree_bit_for_bit() {
-        fn run(sharded_threads: Option<usize>) -> Vec<String> {
-            let builder = Campaign::builder()
+        fn run(threads: usize) -> Vec<String> {
+            Campaign::builder()
                 .targets([ProfileId::D2, ProfileId::D4, ProfileId::D5].map(DeviceProfile::table5))
                 .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 2)))
-                .seed(0xC0FFEE);
-            match sharded_threads {
-                None => builder.executor(SerialExecutor),
-                Some(n) => builder.executor(ShardedExecutor::new(n)),
-            }
-            .run()
-            .unwrap()
-            .reports()
-            .map(|r| r.to_json().unwrap())
-            .collect()
+                .seed(0xC0FFEE)
+                .threads(threads)
+                .run()
+                .unwrap()
+                .reports()
+                .map(|r| r.to_json().unwrap())
+                .collect()
         }
-        let serial = run(None);
-        assert_eq!(serial, run(Some(3)));
-        assert_eq!(serial, run(Some(2)));
+        let serial = run(1);
+        assert_eq!(serial, run(3));
+        assert_eq!(serial, run(2));
     }
 
     #[test]
@@ -1247,18 +1137,25 @@ mod tests {
 
     #[test]
     fn dual_transport_needs_a_dual_mode_target() {
-        // D4 (iPhone, BR/EDR-only profile) cannot serve an LE link.
-        let result = Campaign::builder()
-            .target(DeviceProfile::table5(ProfileId::D4))
-            .dual_transport()
-            .seed(9)
-            .run();
-        match result {
-            Err(CampaignError::Connect { link_type, .. }) => {
-                assert_eq!(link_type, LinkType::Le);
+        // D4 (iPhone) and D2 (Pixel 3) are BR/EDR-only profiles: neither can
+        // serve an LE link.  Both targets fail, and on any thread count the
+        // campaign returns the first one's error in target order.
+        for threads in [1, 2] {
+            let result = Campaign::builder()
+                .targets([ProfileId::D4, ProfileId::D2].map(DeviceProfile::table5))
+                .dual_transport()
+                .seed(9)
+                .threads(threads)
+                .run();
+            match result {
+                Err(CampaignError::Connect {
+                    profile, link_type, ..
+                }) => {
+                    assert_eq!((profile.id, link_type), (ProfileId::D4, LinkType::Le));
+                }
+                Err(other) => panic!("unexpected error {other}"),
+                Ok(_) => panic!("dual transport against a single-mode target must fail"),
             }
-            Err(other) => panic!("unexpected error {other}"),
-            Ok(_) => panic!("dual transport against a single-mode target must fail"),
         }
     }
 
@@ -1313,32 +1210,35 @@ mod tests {
 
     #[test]
     fn watchdog_expiry_carries_a_typed_payload_through_the_campaign() {
-        let result = std::panic::catch_unwind(|| {
-            Campaign::builder()
-                .target(DeviceProfile::table5(ProfileId::D2))
-                .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 50)))
-                .watchdog(Duration::from_micros(20_000))
-                .seed(11)
-                .run()
-        });
-        let payload = match result {
-            Err(payload) => payload,
-            Ok(_) => panic!("watchdog must fire well before 50 rounds finish"),
-        };
-        let expired = payload
-            .downcast_ref::<hci::fault::WatchdogExpired>()
-            .expect("payload is WatchdogExpired");
-        assert!(expired.now_micros > expired.deadline_micros);
+        // A worker thread re-raises the panic with its payload intact, just
+        // as the inline path does.
+        for threads in [1, 2] {
+            let result = std::panic::catch_unwind(|| {
+                Campaign::builder()
+                    .targets([ProfileId::D2, ProfileId::D4].map(DeviceProfile::table5))
+                    .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 50)))
+                    .watchdog(Duration::from_micros(20_000))
+                    .seed(11)
+                    .threads(threads)
+                    .run()
+            });
+            let payload = match result {
+                Err(payload) => payload,
+                Ok(_) => panic!("watchdog must fire well before 50 rounds finish"),
+            };
+            let expired = payload
+                .downcast_ref::<hci::fault::WatchdogExpired>()
+                .unwrap_or_else(|| panic!("{threads} thread(s): payload is not WatchdogExpired"));
+            assert!(expired.now_micros > expired.deadline_micros);
+        }
     }
 
     #[test]
     fn seed_sweep_runs_one_campaign_per_seed() {
-        let sweep = SeedSweepExecutor::new([1u64, 2, 3]);
-        assert_eq!(sweep.seeds().len(), 3);
         let outcome = Campaign::builder()
             .target(DeviceProfile::table5(ProfileId::D5))
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
-            .executor(sweep)
+            .seeds([1, 2, 3])
             .run()
             .expect("sweep runs");
         assert_eq!(outcome.targets.len(), 3);

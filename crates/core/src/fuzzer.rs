@@ -60,7 +60,7 @@ pub struct FuzzCtx<'a> {
     /// The target's inquiry metadata.
     pub meta: DeviceMeta,
     /// Per-target seed; every random decision of the tool must derive from
-    /// it so campaigns are reproducible at any executor parallelism.
+    /// it so campaigns are reproducible at any thread count.
     pub seed: u64,
     /// Transmission budget for this target.
     pub budget: TxBudget,

@@ -49,16 +49,16 @@
 //! ```
 //!
 //! Multi-device experiments add more [`campaign::CampaignBuilder::target`]s
-//! and, to spread them across worker threads, a
-//! [`campaign::ShardedExecutor`] — per-target results are bit-for-bit
-//! identical at any thread count because every target runs in an isolated
-//! environment seeded from the campaign seed.  Within one target,
-//! [`campaign::CampaignBuilder::initiators_per_target`] runs several
+//! and, to spread them across worker threads,
+//! [`campaign::CampaignBuilder::threads`] — per-target results are
+//! bit-for-bit identical at any thread count because every target runs in
+//! an isolated environment seeded from the campaign seed.  Within one
+//! target, [`campaign::CampaignBuilder::initiators_per_target`] runs several
 //! concurrent initiators over the event-driven medium (and
 //! [`campaign::CampaignBuilder::dual_transport`] splits them across BR/EDR
-//! and LE on a dual-mode device); [`campaign::SeedSweepExecutor`] runs one
-//! campaign per sweep seed per target.  All of it replays bit-for-bit from
-//! the campaign seed.
+//! and LE on a dual-mode device); [`campaign::CampaignBuilder::seeds`] runs
+//! one campaign per sweep seed per target.  All of it replays bit-for-bit
+//! from the campaign seeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,8 +76,7 @@ pub mod scanner;
 pub mod session;
 
 pub use campaign::{
-    run_sharded, Campaign, CampaignError, CampaignExecutor, CampaignOutcome, OraclePolicy,
-    SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetEnv, TargetOutcome,
+    run_sharded, Campaign, CampaignError, CampaignOutcome, OraclePolicy, TargetEnv, TargetOutcome,
 };
 pub use config::FuzzConfig;
 pub use fuzzer::{FuzzCtx, Fuzzer, TxBudget};

@@ -8,8 +8,7 @@
 //! of the splice / havoc / resend-with-field-mutation operators applied to a
 //! retained [`CorpusEntry`] of the current state.  Every random decision
 //! derives from the campaign's per-target seed stream (domain label
-//! `0xFEED`), so feedback campaigns replay bit-for-bit at any executor
-//! parallelism.
+//! `0xFEED`), so feedback campaigns replay bit-for-bit at any thread count.
 
 use std::collections::BTreeMap;
 

@@ -1,12 +1,14 @@
 //! Cross-seed corpus pooling for sweep campaigns.
 //!
-//! The contract (documented on [`l2fuzz::campaign::SeedSweepExecutor`]):
-//! during a sweep each `(target, seed)` unit is a pure function of its pair —
-//! it *publishes* its finished corpus into the hub under its own seed and
-//! never reads another unit's.  After the executor returns, [`CorpusHub::merged`]
-//! folds the published corpora in ascending seed order, which is independent
-//! of the work-index scheduling that completed them — so an 8-seed sweep
-//! pools novelty while staying bit-for-bit replayable at any thread count.
+//! The publish-only contract: during a sweep
+//! ([`l2fuzz::campaign::CampaignBuilder::seeds`]) each `(target, seed)` unit
+//! is a pure function of its pair — as it finishes it *publishes* its corpus
+//! into the hub under its own seed, and it never reads another unit's.
+//! After the campaign returns, [`CorpusHub::merged`] folds the published
+//! corpora in ascending seed order, which is independent of the order in
+//! which [`l2fuzz::campaign::run_sharded`]'s workers completed them — so an
+//! 8-seed sweep pools novelty barrier-free while staying bit-for-bit
+//! replayable at any thread count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

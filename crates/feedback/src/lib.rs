@@ -20,10 +20,11 @@
 //!   [`l2fuzz::L2FuzzTool`] with a feedback [`l2fuzz::session::Strategy`],
 //!   so scanning, guiding, detection and the round driver are the
 //!   dictionary engine's own.
-//! * [`CorpusHub`] pools novelty across the units of a
-//!   [`l2fuzz::campaign::SeedSweepExecutor`] without breaking per-seed
-//!   isolation: units publish as they finish and the hub merges in canonical
-//!   seed order afterwards, so sweeps replay bit-for-bit at any parallelism.
+//! * [`CorpusHub`] pools novelty across the units of a seed sweep
+//!   ([`l2fuzz::campaign::CampaignBuilder::seeds`]) without breaking
+//!   per-seed isolation: units publish as they finish and the hub merges in
+//!   canonical seed order afterwards, so sweeps replay bit-for-bit at any
+//!   thread count.
 //!
 //! # Determinism
 //!
@@ -31,8 +32,8 @@
 //! splice cut points — derives from the campaign's per-target seed stream
 //! (domain-separated under the `0xFEED` label), and cross-seed sharing is
 //! publish-only during a run.  A feedback campaign therefore replays
-//! bit-for-bit serial or sharded, at any thread count, like every other
-//! campaign in this repository; `tests/feedback_fuzzing.rs` enforces it.
+//! bit-for-bit at any thread count, like every other campaign in this
+//! repository; `tests/feedback_fuzzing.rs` enforces it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,7 +43,7 @@ const USAGE: &str = "l2fuzz-service --targets D2,D5 --seeds 8 [options]\n\
      \n\
      --targets LIST     comma-separated device profiles (D1..D11), required\n\
      --seeds N          number of derived campaign seeds per target, required\n\
-     --seed-base HEX    base for seed derivation (default 1337)\n\
+     --seed-base N      base for seed derivation, decimal or 0x-prefixed hex (default 1337)\n\
      --name NAME        sweep name recorded in checkpoints (default `sweep`)\n\
      --budget N         per-job packet budget (default: detection stopping rule)\n\
      --shard-size N     jobs per checkpoint commit (default 4)\n\
@@ -90,8 +90,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed-base" => {
                 let raw = value("--seed-base")?;
-                args.seed_base = u64::from_str_radix(raw.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("--seed-base: {e}"))?;
+                args.seed_base = match raw.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => raw.parse(),
+                }
+                .map_err(|e| format!("--seed-base: {e}"))?;
             }
             "--name" => args.name = value("--name")?,
             "--budget" => {

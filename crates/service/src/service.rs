@@ -1,22 +1,22 @@
 //! The sweep service: a worker pool draining the shard queue, with
 //! in-order checkpoint commits and verifiable resume.
 //!
-//! Workers claim shards from an atomic cursor and run them out of order;
-//! the committer (the calling thread) commits results strictly in shard
-//! order — corpus insertion, one appended checkpoint journal line, observer
-//! callback — so the durable state after shard *k* is identical no matter
-//! how the pool interleaved.  That in-order commit rule is what makes
+//! The pool is the campaigns' own, [`l2fuzz::campaign::run_sharded`]:
+//! workers claim shards from an atomic index and run them out of order,
+//! and the calling thread commits results strictly in shard order — corpus
+//! insertion, one appended checkpoint journal line, observer callback — so
+//! the durable state after shard *k* is identical no matter how the pool
+//! interleaved.  That in-order commit rule is what makes
 //! "resume from the last completed shard" well-defined, and campaign
 //! determinism is what makes it *verifiable*: re-running a committed shard
 //! must reproduce its recorded digest bit for bit.
 
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use btstack::DeviceProfile;
-use l2fuzz::campaign::{Campaign, CampaignBuilder, CampaignPlan, TargetOutcome};
+use l2fuzz::campaign::{run_sharded, Campaign, CampaignBuilder, CampaignPlan, TargetOutcome};
 use l2fuzz::fuzzer::Fuzzer;
 use l2fuzz::session::L2FuzzTool;
 use l2fuzz::{FuzzConfig, TxBudget, WatchdogExpired};
@@ -58,11 +58,6 @@ type CommitObserver = Box<dyn Fn(&ShardRecord)>;
 /// the same builder in must yield the same plan out, or resume verification
 /// will rightly reject the checkpoint.
 type PlanHook = Box<dyn Fn(CampaignBuilder) -> CampaignBuilder + Send + Sync>;
-
-/// A commit-queue slot: empty until its shard's worker finishes.  Job-level
-/// failures never occupy an `Err` here — they are quarantined into their
-/// summaries — so a slot always carries the shard's full job list.
-type ShardSlot = Option<Vec<JobResult>>;
 
 /// What a finished (or deliberately stopped) run produced.
 #[derive(Debug)]
@@ -209,8 +204,7 @@ impl SweepService {
             Some(cap) => total.min(resumed_from + cap),
             None => total,
         };
-        let pending: Vec<usize> = (resumed_from..end).collect();
-        let committed_this_run = self.drain(&plan, &mut checkpoint, &pending)?;
+        let committed_this_run = self.drain(&plan, &mut checkpoint, resumed_from..end)?;
 
         let report = (checkpoint.completed_shards() == total)
             .then(|| ServiceReport::from_checkpoint(&checkpoint));
@@ -262,76 +256,23 @@ impl SweepService {
     }
 
     /// Runs `pending` shards through the worker pool, committing in shard
-    /// order; returns the number committed.
+    /// order; returns the number committed.  Job-level failures are
+    /// quarantined into their summaries, so only a commit can fail; a
+    /// `TooManyFailures` stop comes after the crossing shard is durable.
     fn drain(
         &self,
         plan: &CampaignPlan,
         checkpoint: &mut Checkpoint,
-        pending: &[usize],
+        pending: Range<usize>,
     ) -> Result<usize, ServiceError> {
-        if pending.is_empty() {
-            return Ok(0);
-        }
-        let workers = self.workers.min(pending.len());
-        let next = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        // Slot `i` receives shard `pending[i]`'s result.  parking_lot's
-        // vendored stub has no Condvar, so the commit queue pairs a std
-        // mutex with a std condvar.
-        let slots: Mutex<Vec<ShardSlot>> = Mutex::new((0..pending.len()).map(|_| None).collect());
-        let ready = Condvar::new();
-
-        let mut committed = 0usize;
-        let mut failure: Option<ServiceError> = None;
-        let spec = &self.spec;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if cancel.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&shard) = pending.get(i) else { break };
-                    let result = run_shard(plan, spec, shard);
-                    let mut guard = slots.lock().expect("slot mutex poisoned");
-                    guard[i] = Some(result);
-                    ready.notify_all();
-                });
-            }
-
-            // The committer: workers claim slots in ascending order, so
-            // slot `i` is guaranteed to fill unless an error at an earlier
-            // slot stops the loop first — every wait below terminates.
-            for (i, &shard) in pending.iter().enumerate() {
-                let results = {
-                    let mut guard = slots.lock().expect("slot mutex poisoned");
-                    loop {
-                        if let Some(results) = guard[i].take() {
-                            break results;
-                        }
-                        guard = ready.wait(guard).expect("slot mutex poisoned");
-                    }
-                };
-                match self.commit(checkpoint, shard, results) {
-                    Ok(()) => committed += 1,
-                    Err(err) => {
-                        // Quarantine-threshold trips commit first, so a
-                        // `TooManyFailures` stop still leaves the crossing
-                        // shard durable; I/O errors stop before the commit.
-                        if matches!(err, ServiceError::TooManyFailures { .. }) {
-                            committed += 1;
-                        }
-                        cancel.store(true, Ordering::SeqCst);
-                        failure = Some(err);
-                        break;
-                    }
-                }
-            }
-        });
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(committed),
-        }
+        let (spec, first) = (&self.spec, pending.start);
+        run_sharded(
+            pending.len(),
+            self.workers,
+            |i| Ok(run_shard(plan, spec, first + i)),
+            |i, results| self.commit(checkpoint, first + i, results),
+        )?;
+        Ok(pending.len())
     }
 
     /// Commits one shard: corpus insertion in job order (each crashing job

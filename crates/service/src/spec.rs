@@ -1,9 +1,10 @@
 //! Sweep specifications: the persistent work queue's shape.
 //!
 //! A sweep is the cross product `targets × seeds`, enumerated target-major
-//! (all seeds of the first target, then the second, …) — the same order
-//! [`l2fuzz::campaign::SeedSweepExecutor`] produces, so a sweep's job list
-//! is also the index into an equivalent in-process campaign's outcomes.
+//! (all seeds of the first target, then the second, …) — the same order a
+//! campaign with [`l2fuzz::campaign::CampaignBuilder::seeds`] produces, so a
+//! sweep's job list is also the index into an equivalent in-process
+//! campaign's outcomes.
 //! Jobs are grouped into fixed-size *shards*, the unit of worker dispatch
 //! and of checkpoint commit.
 
@@ -74,12 +75,10 @@ impl SweepSpec {
         }
     }
 
-    /// Derives `count` sweep seeds from `base` (SplitMix64, matching
-    /// [`l2fuzz::campaign::SeedSweepExecutor::derived`]).
+    /// Derives `count` sweep seeds from `base` with
+    /// [`l2fuzz::campaign::derived_seeds`].
     pub fn derived_seeds(base: u64, count: usize) -> Vec<u64> {
-        (0..count as u64)
-            .map(|i| btcore::splitmix64(base.wrapping_add(i)))
-            .collect()
+        l2fuzz::campaign::derived_seeds(base, count)
     }
 
     /// Sets the per-job packet budget.

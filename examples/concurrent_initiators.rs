@@ -10,7 +10,7 @@
 //! ```
 
 use btstack::profiles::{DeviceProfile, ProfileId};
-use l2fuzz::campaign::{Campaign, SeedSweepExecutor};
+use l2fuzz::campaign::{derived_seeds, Campaign};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
 
@@ -72,7 +72,8 @@ fn main() {
     let sweep = Campaign::builder()
         .target(DeviceProfile::table5(ProfileId::D9))
         .fuzzer(tight)
-        .executor(SeedSweepExecutor::derived(0x5EED, 8).with_threads(4))
+        .seeds(derived_seeds(0x5EED, 8))
+        .threads(4)
         .run()
         .expect("seed sweep runs");
     println!("== 8-seed sweep vs Galaxy Fit e ==");

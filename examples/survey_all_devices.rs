@@ -1,11 +1,11 @@
 //! Table VI-style survey: run the L2Fuzz detection campaign against all eight
 //! simulated devices and print whether (and how fast) each one falls over.
 //!
-//! The eight targets run as one campaign sharded across four worker threads
-//! (`bench::table6_survey`, built on `Campaign::builder()` with a
-//! `ShardedExecutor`); each device lives in its own isolated environment,
-//! so the results are bit-for-bit identical to a serial run of the same
-//! seed — only the wall-clock time changes.
+//! The eight targets run as one campaign sharded across one worker thread
+//! per core (`bench::table6_survey`, built on `Campaign::builder()` with
+//! `.threads(n)`); each device lives in its own isolated environment, so
+//! the results are bit-for-bit identical to a serial run of the same seed —
+//! only the wall-clock time changes.
 //!
 //! Run with: `cargo run --example survey_all_devices` (set
 //! `L2FUZZ_MAX_CAMPAIGNS` to bound the per-device effort).
@@ -17,7 +17,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(25);
-    let outcome = table6_survey(77, max_campaigns, 4);
+    let outcome = table6_survey(77, max_campaigns);
 
     println!(
         "{:<5}{:<16}{:<7}{:<10}{:<12}{:<10}",

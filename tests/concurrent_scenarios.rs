@@ -22,7 +22,7 @@ use hci::medium::{EventMedium, LinkSpec};
 use l2cap::command::{Command, ConnectionRequest, DisconnectionRequest};
 use l2cap::consts::ConnectionResult;
 use l2cap::packet::{parse_signaling, signaling_frame};
-use l2fuzz::campaign::{Campaign, SeedSweepExecutor};
+use l2fuzz::campaign::{derived_seeds, Campaign};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
 use sniffer::StateCoverage;
@@ -196,7 +196,8 @@ fn seed_sweep_detects_the_d9_credit_underflow() {
     let outcome = Campaign::builder()
         .target(DeviceProfile::table5(ProfileId::D9))
         .fuzzer(tight)
-        .executor(SeedSweepExecutor::derived(0x5EED, 8).with_threads(4))
+        .seeds(derived_seeds(0x5EED, 8))
+        .threads(4)
         .run()
         .expect("seed sweep runs");
 

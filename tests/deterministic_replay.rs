@@ -2,13 +2,11 @@
 //! function of its seed.  Two campaigns with the same seed against freshly
 //! built simulated devices must produce byte-identical reports and traces; a
 //! different seed must actually change the campaign.  The same holds across
-//! executors: `ShardedExecutor` at any thread count must reproduce
-//! `SerialExecutor`'s per-device results bit-for-bit.
+//! thread counts: a campaign on any number of worker threads must reproduce
+//! its one-thread per-device results bit-for-bit.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
-use l2fuzz::campaign::{
-    Campaign, CampaignOutcome, SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetOutcome,
-};
+use l2fuzz::campaign::{derived_seeds, Campaign, CampaignOutcome, TargetOutcome};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::report::FuzzReport;
 use l2fuzz::session::L2FuzzTool;
@@ -76,19 +74,16 @@ fn different_seeds_change_the_campaign() {
     assert_eq!(a.states_tested, b.states_tested);
 }
 
-/// Runs the full eight-device survey with the given executor and returns the
+/// Runs the full eight-device survey on `threads` workers and returns the
 /// serialized per-device reports plus the raw traces.
-fn survey(executor_threads: Option<usize>, seed: u64) -> (Vec<String>, Vec<Trace>) {
-    let builder = Campaign::builder()
+fn survey(threads: usize, seed: u64) -> (Vec<String>, Vec<Trace>) {
+    let outcome: CampaignOutcome = Campaign::builder()
         .targets(DeviceProfile::all())
         .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 3)))
-        .seed(seed);
-    let outcome: CampaignOutcome = match executor_threads {
-        None => builder.executor(SerialExecutor),
-        Some(n) => builder.executor(ShardedExecutor::new(n)),
-    }
-    .run()
-    .expect("survey runs");
+        .seed(seed)
+        .threads(threads)
+        .run()
+        .expect("survey runs");
     let json = outcome.reports().map(|r| r.to_json().unwrap()).collect();
     let traces = outcome.targets.into_iter().map(|t| t.trace).collect();
     (json, traces)
@@ -97,10 +92,10 @@ fn survey(executor_threads: Option<usize>, seed: u64) -> (Vec<String>, Vec<Trace
 #[test]
 fn sharded_executor_reproduces_serial_reports_at_any_thread_count() {
     let seed = 0x5EED_CAFE;
-    let (serial_reports, serial_traces) = survey(None, seed);
+    let (serial_reports, serial_traces) = survey(1, seed);
     assert_eq!(serial_reports.len(), 8);
     for threads in [1, 2, 4] {
-        let (sharded_reports, sharded_traces) = survey(Some(threads), seed);
+        let (sharded_reports, sharded_traces) = survey(threads, seed);
         assert_eq!(
             serial_reports, sharded_reports,
             "per-device FuzzReport JSON diverged at {threads} thread(s)"
@@ -173,52 +168,45 @@ fn multi_initiator_campaigns_replay_bit_for_bit() {
 
 #[test]
 fn multi_initiator_targets_shard_deterministically() {
-    let run = |threads: Option<usize>| {
-        let builder = Campaign::builder()
+    let run = |threads: usize| {
+        Campaign::builder()
             .targets([ProfileId::D2, ProfileId::D4].map(DeviceProfile::table5))
             .initiators_per_target(2)
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
-            .seed(0xAB);
-        match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
-        }
-        .run()
-        .expect("campaign runs")
+            .seed(0xAB)
+            .threads(threads)
+            .run()
+            .expect("campaign runs")
     };
-    let serial = fingerprint(&run(None).targets);
-    assert_eq!(serial, fingerprint(&run(Some(2)).targets));
+    let serial = fingerprint(&run(1).targets);
+    assert_eq!(serial, fingerprint(&run(2).targets));
 }
 
 #[test]
 fn faulty_schedules_replay_bit_for_bit_across_executors() {
     // PR 8: determinism extends to chaos campaigns.  Same seed + same
-    // FaultPlan ⇒ identical per-device reports and traces, serial or
-    // sharded at 1/2/4 threads — every loss, corruption, jitter and stall
-    // decision derives from the per-event seed stream, never from the
-    // worker interleaving.
+    // FaultPlan ⇒ identical per-device reports and traces at 1/2/4
+    // threads — every loss, corruption, jitter and stall decision derives
+    // from the per-event seed stream, never from the worker interleaving.
     let plan = l2fuzz::FaultPlan::degraded(0.12, 0.06)
         .with_jitter(400)
         .with_stall(0.01, 5_000);
-    let survey = |threads: Option<usize>| {
-        let builder = Campaign::builder()
+    let survey = |threads: usize| {
+        let outcome = Campaign::builder()
             .targets([ProfileId::D2, ProfileId::D4, ProfileId::D9].map(DeviceProfile::table5))
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 3)))
             .faults(plan)
-            .seed(0xFA_0175);
-        let outcome = match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
-        }
-        .run()
-        .expect("chaos survey runs");
+            .seed(0xFA_0175)
+            .threads(threads)
+            .run()
+            .expect("chaos survey runs");
         fingerprint(&outcome.targets)
     };
-    let serial = survey(None);
+    let serial = survey(1);
     for threads in [1, 2, 4] {
         assert_eq!(
             serial,
-            survey(Some(threads)),
+            survey(threads),
             "faulty schedule diverged at {threads} thread(s)"
         );
     }
@@ -230,7 +218,8 @@ fn seed_sweeps_replay_bit_for_bit_at_any_thread_count() {
         let outcome = Campaign::builder()
             .targets([ProfileId::D5, ProfileId::D9].map(DeviceProfile::table5))
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
-            .executor(SeedSweepExecutor::derived(0xCAFE, 4).with_threads(threads))
+            .seeds(derived_seeds(0xCAFE, 4))
+            .threads(threads)
             .run()
             .expect("sweep runs");
         assert_eq!(outcome.targets.len(), 8, "2 targets x 4 seeds");

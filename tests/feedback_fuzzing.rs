@@ -1,15 +1,13 @@
 //! Coverage-guided fuzzing end-to-end: the feedback engine must keep every
 //! guarantee the dictionary engine gives — bit-for-bit replay at any
-//! executor parallelism, schedule-independent sweep artifacts — while
+//! thread count, schedule-independent sweep artifacts — while
 //! actually closing the loop: corpus retention, energy scheduling, and
 //! detection of the seeded extended-profile vulnerabilities through
 //! `Campaign::builder().feedback(...)`.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
 use feedback::{CorpusHub, FeedbackCampaignExt, FeedbackConfig, FeedbackCorpus};
-use l2fuzz::campaign::{
-    Campaign, SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetOutcome,
-};
+use l2fuzz::campaign::{derived_seeds, Campaign, TargetOutcome};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
 use service::digest::{trace_digest, Fnv64};
@@ -38,24 +36,21 @@ fn fingerprint(targets: &[TargetOutcome]) -> Vec<(Vec<String>, Vec<Vec<u8>>)> {
 
 #[test]
 fn feedback_campaigns_replay_bit_for_bit_across_executors() {
-    let survey = |threads: Option<usize>| {
-        let builder = Campaign::builder()
+    let survey = |threads: usize| {
+        let outcome = Campaign::builder()
             .targets([ProfileId::D2, ProfileId::D4, ProfileId::D9].map(DeviceProfile::table5))
             .feedback(FeedbackConfig::default())
-            .seed(0xFEED_5EED);
-        let outcome = match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
-        }
-        .run()
-        .expect("feedback survey runs");
+            .seed(0xFEED_5EED)
+            .threads(threads)
+            .run()
+            .expect("feedback survey runs");
         fingerprint(&outcome.targets)
     };
-    let serial = survey(None);
+    let serial = survey(1);
     for threads in [1, 2, 4] {
         assert_eq!(
             serial,
-            survey(Some(threads)),
+            survey(threads),
             "feedback campaign diverged at {threads} thread(s)"
         );
     }
@@ -138,7 +133,8 @@ fn sweep_corpus_merge_is_schedule_independent() {
         let outcome = Campaign::builder()
             .targets([ProfileId::D4, ProfileId::D9].map(DeviceProfile::table5))
             .feedback(FeedbackConfig::default().with_hub(hub.clone()))
-            .executor(SeedSweepExecutor::derived(0xFEED_CAFE, 4).with_threads(threads))
+            .seeds(derived_seeds(0xFEED_CAFE, 4))
+            .threads(threads)
             .run()
             .expect("feedback sweep runs");
         assert_eq!(outcome.targets.len(), 8, "2 targets x 4 seeds");

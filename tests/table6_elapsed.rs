@@ -13,10 +13,10 @@ use std::collections::HashMap;
 
 #[test]
 fn table6_elapsed_time_ordering_matches_the_paper_shape() {
-    // Sharded across 2 workers — determinism is covered by
+    // Sharded across one worker per core — determinism is covered by
     // tests/deterministic_replay.rs, so the survey itself may as well run in
     // parallel.
-    let survey = table6_survey(0x7AB6, 800, 2);
+    let survey = table6_survey(0x7AB6, 800);
     assert_eq!(survey.targets.len(), 8);
 
     let mut elapsed: HashMap<ProfileId, Option<u64>> = HashMap::new();
