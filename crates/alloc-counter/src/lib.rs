@@ -1,9 +1,10 @@
 //! A counting global allocator for measuring allocation budgets.
 //!
 //! Shared by the gating tests — `tests/alloc_per_packet.rs` (no allocation
-//! per injected packet; a tap allocates only to grow; counted per thread, so
-//! its tests cannot see each other's allocations), `tests/campaign_allocs.rs`
-//! (at most 3 allocations per packet over whole budget campaigns) and
+//! per injected packet or per replying exchange; a tap allocates only to
+//! grow; counted per thread, so its tests cannot see each other's
+//! allocations), `tests/campaign_allocs.rs` (at most 0.5 allocations per
+//! packet over whole budget campaigns) and
 //! `tests/render_allocs.rs` (no allocation per rendered record).
 //!
 //! Install it in a binary or test crate with:

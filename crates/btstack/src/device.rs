@@ -243,20 +243,20 @@ impl VirtualDevice for SimulatedDevice {
         }
     }
 
-    fn receive(&mut self, slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame> {
+    fn receive_into(&mut self, slot: LinkSlot, frame: &L2capFrame, out: &mut Vec<L2capFrame>) {
         if self.status != HostStatus::Running {
-            return Vec::new();
+            return;
         }
         let Some(endpoint) = self.endpoints.get_mut(usize::from(slot.0)) else {
             // Frame on a never-attached slot: nobody serves it.
-            return Vec::new();
+            return;
         };
-        let outcome = endpoint.handle_frame(frame);
-        if let Some(vuln) = outcome.triggered {
+        let start = out.len();
+        if let Some(vuln) = endpoint.handle_frame(frame, out) {
+            // The stack went down processing the frame: it answers nothing.
+            out.truncate(start);
             self.apply_effect(&vuln);
-            return Vec::new();
         }
-        outcome.responses
     }
 
     fn bluetooth_alive(&self) -> bool {
@@ -352,14 +352,19 @@ mod tests {
         assert!(!dev.receive(LinkSlot::PRIMARY, &frame).is_empty());
     }
 
-    fn malformed_config(dev: &mut SimulatedDevice) -> Vec<L2capFrame> {
-        let packet = SignalingPacket {
+    /// The case-study Configure Request: unallocated DCID plus garbage.
+    fn malformed_config_frame() -> L2capFrame {
+        SignalingPacket {
             identifier: Identifier(6),
             code: 0x04,
             declared_data_len: 8,
             data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
-        };
-        dev.receive(LinkSlot::PRIMARY, &packet.into_frame())
+        }
+        .into_frame()
+    }
+
+    fn malformed_config(dev: &mut SimulatedDevice) -> Vec<L2capFrame> {
+        dev.receive(LinkSlot::PRIMARY, &malformed_config_frame())
     }
 
     #[test]
@@ -390,6 +395,23 @@ mod tests {
     }
 
     #[test]
+    fn a_fired_vulnerability_keeps_the_replies_already_buffered() {
+        let mut dev = pixel_like(1.0);
+        connect(&mut dev);
+        let ping = signaling_frame(
+            Identifier(2),
+            &Command::EchoRequest(l2cap::command::EchoRequest { data: vec![1] }),
+        );
+        let mut out = Vec::new();
+        dev.receive_into(LinkSlot::PRIMARY, &ping, &mut out);
+        assert_eq!(out.len(), 1);
+        // The crashing frame adds nothing and removes nothing.
+        dev.receive_into(LinkSlot::PRIMARY, &malformed_config_frame(), &mut out);
+        assert_eq!(dev.status(), HostStatus::DosTerminated);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
     fn oracle_reports_dos_and_crash_dumps() {
         let (shared, adapter) = share(pixel_like(1.0));
         let mut oracle = DeviceOracle::new(shared.clone());
@@ -405,15 +427,9 @@ mod tests {
             }),
         );
         adapter.lock().receive(LinkSlot::PRIMARY, &frame);
-        let packet = SignalingPacket {
-            identifier: Identifier(6),
-            code: 0x04,
-            declared_data_len: 8,
-            data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
-        };
         adapter
             .lock()
-            .receive(LinkSlot::PRIMARY, &packet.into_frame());
+            .receive(LinkSlot::PRIMARY, &malformed_config_frame());
 
         assert!(!oracle.bluetooth_alive());
         assert_eq!(oracle.ping(), PingOutcome::Failed(ConnectionError::Failed));

@@ -12,7 +12,7 @@ use l2cap::code::CommandCode;
 use l2cap::command::{
     Command, CommandReject, ConfigureRequest, ConfigureResponse, ConnectionParameterUpdateResponse,
     ConnectionResponse, CreateChannelResponse, CreditBasedConnectionResponse,
-    CreditBasedReconfigureResponse, DisconnectionRequest, DisconnectionResponse, EchoResponse,
+    CreditBasedReconfigureResponse, DisconnectionRequest, DisconnectionResponse,
     InformationResponse, LeCreditBasedConnectionResponse, MoveChannelConfirmationResponse,
     MoveChannelResponse,
 };
@@ -29,24 +29,6 @@ use crate::ccb::CcbTable;
 use crate::services::ServiceTable;
 use crate::vendor::Quirks;
 use crate::vuln::{PacketContext, VulnerabilitySpec};
-
-/// Result of feeding one frame to the endpoint.
-#[derive(Debug)]
-pub struct EndpointOutcome {
-    /// Frames the device sends back, in order.
-    pub responses: Vec<L2capFrame>,
-    /// The vulnerability that fired while processing this frame, if any.
-    pub triggered: Option<VulnerabilitySpec>,
-}
-
-impl EndpointOutcome {
-    fn none() -> Self {
-        EndpointOutcome {
-            responses: Vec::new(),
-            triggered: None,
-        }
-    }
-}
 
 /// Initial credits the simulated acceptor grants on every LE credit-based
 /// channel it accepts.
@@ -170,31 +152,32 @@ impl L2capEndpoint {
         )
     }
 
-    /// Processes one inbound L2CAP frame and returns the response frames plus
-    /// any vulnerability that fired.
-    pub fn handle_frame(&mut self, frame: &L2capFrame) -> EndpointOutcome {
+    /// Processes one inbound L2CAP frame, appends the response frames to
+    /// `out` and returns the vulnerability that fired, if any.
+    ///
+    /// `out` is not cleared.  A frame that fires a vulnerability takes the
+    /// stack down before any response is appended.
+    pub fn handle_frame(
+        &mut self,
+        frame: &L2capFrame,
+        out: &mut Vec<L2capFrame>,
+    ) -> Option<VulnerabilitySpec> {
         if !frame.cid.is_signaling() {
             // Data traffic on a (possibly open) channel: the simulated
             // services simply consume it.
-            return EndpointOutcome::none();
+            return None;
         }
-        let packet = match SignalingPacket::parse_buf(&frame.payload) {
-            Ok(p) => p,
-            Err(_) => return EndpointOutcome::none(),
-        };
+        let packet = SignalingPacket::parse_buf(&frame.payload).ok()?;
         self.packets_processed += 1;
 
         // Signalling MTU check: oversized C-frames are rejected outright.
         if packet.wire_len() > usize::from(self.signaling_mtu) {
-            let rsp = self.reject(
+            out.push(self.reject(
                 packet.identifier,
                 RejectReason::SignalingMtuExceeded,
                 self.signaling_mtu.to_le_bytes().to_vec(),
-            );
-            return EndpointOutcome {
-                responses: vec![rsp],
-                triggered: None,
-            };
+            ));
+            return None;
         }
 
         // Hardened stacks run an extra sanity filter and silently drop
@@ -203,43 +186,32 @@ impl L2capEndpoint {
         if self.quirks.strict_malformed_filtering
             && (!packet.is_length_consistent() || packet.garbage_len() > 0)
         {
-            return EndpointOutcome::none();
+            return None;
         }
 
-        self.handle_signaling(&packet)
+        self.handle_signaling(&packet, out)
     }
 
-    fn handle_signaling(&mut self, packet: &SignalingPacket) -> EndpointOutcome {
-        let code = CommandCode::from_u8(packet.code);
-
-        // Undefined command codes: "command not understood".
+    fn handle_signaling(
+        &mut self,
+        packet: &SignalingPacket,
+        out: &mut Vec<L2capFrame>,
+    ) -> Option<VulnerabilitySpec> {
+        // Undefined command codes, and commands belonging to the other
+        // transport: "command not understood", regardless of state.  On
+        // BR/EDR the LE-only commands keep flowing through the (equivalent)
+        // per-channel rejection paths below, preserving the classic
+        // acceptor's observable behaviour.
+        let code = CommandCode::from_u8(packet.code)
+            .filter(|code| !self.link_type.is_le() || code.valid_on(LinkType::Le));
         let Some(code) = code else {
-            let rsp = self.reject(
+            out.push(self.reject(
                 packet.identifier,
                 RejectReason::CommandNotUnderstood,
                 Vec::new(),
-            );
-            return EndpointOutcome {
-                responses: vec![rsp],
-                triggered: None,
-            };
+            ));
+            return None;
         };
-
-        // Commands belonging to the other transport: "command not
-        // understood", regardless of state.  On BR/EDR the LE-only commands
-        // keep flowing through the (equivalent) per-channel rejection paths
-        // below, preserving the classic acceptor's observable behaviour.
-        if self.link_type.is_le() && !code.valid_on(LinkType::Le) {
-            let rsp = self.reject(
-                packet.identifier,
-                RejectReason::CommandNotUnderstood,
-                Vec::new(),
-            );
-            return EndpointOutcome {
-                responses: vec![rsp],
-                triggered: None,
-            };
-        }
 
         // Determine the channel (and thus state/job) this packet lands in.
         let core = fields::extract_core_values(code, &packet.data);
@@ -283,34 +255,63 @@ impl L2capEndpoint {
             rfc_option,
         };
         if let Some(vuln) = self.check_vulns(&ctx) {
-            return EndpointOutcome {
-                responses: Vec::new(),
-                triggered: Some(vuln),
-            };
+            return Some(vuln);
         }
 
-        // Decode only for packets that survive the vulnerability evaluation,
-        // and without materializing a `Raw` copy of undecodable payloads —
-        // dispatch never looks at raw bytes.
-        let responses = match Command::decode_opt(packet.code, &packet.data) {
-            Some(command) => self.dispatch(packet, code, command, channel_cid),
-            // Defined code, unparseable structure (`Command::Raw` territory):
-            // strict stacks reject, lenient ones stay silent.
-            None => {
-                if self.quirks.strict_malformed_filtering {
-                    Vec::new()
-                } else {
-                    vec![self.reject(
-                        packet.identifier,
-                        RejectReason::CommandNotUnderstood,
-                        Vec::new(),
-                    )]
-                }
+        // Only packets that survive the vulnerability evaluation are
+        // decoded, and only the requests whose fields dispatch reads.  Every
+        // other command is checked for structure without being
+        // materialized: `structurally_valid` holds exactly when `decode_opt`
+        // returns a command.
+        if self.reads_fields(code) {
+            match Command::decode_opt(packet.code, &packet.data) {
+                Some(command) => self.dispatch(packet.identifier, command, out),
+                None => self.malformed(packet.identifier, out),
             }
-        };
-        EndpointOutcome {
-            responses,
-            triggered: None,
+        } else if !Command::structurally_valid(packet.code, &packet.data) {
+            self.malformed(packet.identifier, out);
+        } else if code == CommandCode::EchoRequest {
+            if self.quirks.supports_echo {
+                // The response carries the request's own data bytes (garbage
+                // included), framed without decoding them.
+                out.push(
+                    SignalingPacket::from_raw(
+                        packet.identifier,
+                        CommandCode::EchoResponse.value(),
+                        packet.data.clone(),
+                    )
+                    .to_frame(),
+                );
+            }
+        } else {
+            self.handle_channel_command(packet, code, channel_cid, out);
+        }
+        None
+    }
+
+    /// Whether dispatch reads `code`'s fields, so the packet is decoded: the
+    /// connection-shaped and information requests, plus the LE channel
+    /// flows on an LE link.  On BR/EDR the LE-only commands fall through to
+    /// the per-channel rejection paths.
+    fn reads_fields(&self, code: CommandCode) -> bool {
+        match code {
+            CommandCode::ConnectionRequest
+            | CommandCode::CreateChannelRequest
+            | CommandCode::InformationRequest => true,
+            CommandCode::LeCreditBasedConnectionRequest
+            | CommandCode::CreditBasedConnectionRequest
+            | CommandCode::FlowControlCreditInd
+            | CommandCode::CreditBasedReconfigureRequest
+            | CommandCode::ConnectionParameterUpdateRequest => self.link_type.is_le(),
+            _ => false,
+        }
+    }
+
+    /// A defined code whose payload does not parse as its structure: strict
+    /// stacks drop it silently, lenient ones reject it as not understood.
+    fn malformed(&mut self, identifier: Identifier, out: &mut Vec<L2capFrame>) {
+        if !self.quirks.strict_malformed_filtering {
+            out.push(self.reject(identifier, RejectReason::CommandNotUnderstood, Vec::new()));
         }
     }
 
@@ -356,72 +357,45 @@ impl L2capEndpoint {
         (resolved, all_match)
     }
 
-    fn dispatch(
-        &mut self,
-        packet: &SignalingPacket,
-        code: CommandCode,
-        command: Command,
-        channel_cid: Option<Cid>,
-    ) -> Vec<L2capFrame> {
+    /// Answers one of the requests [`L2capEndpoint::reads_fields`] selects.
+    fn dispatch(&mut self, identifier: Identifier, command: Command, out: &mut Vec<L2capFrame>) {
         match command {
             Command::ConnectionRequest(req) => {
-                self.handle_connection_like(packet.identifier, req.psm, req.scid, false, 0)
+                self.handle_connection_like(identifier, req.psm, req.scid, false, out)
             }
-            Command::CreateChannelRequest(req) => self.handle_connection_like(
-                packet.identifier,
-                req.psm,
-                req.scid,
-                true,
-                req.controller_id,
+            Command::CreateChannelRequest(req) => {
+                self.handle_connection_like(identifier, req.psm, req.scid, true, out)
+            }
+            Command::LeCreditBasedConnectionRequest(req) => self.handle_le_connect(
+                identifier,
+                req.spsm,
+                std::slice::from_ref(&req.scid),
+                req.mtu,
+                req.mps,
+                req.initial_credits,
+                false,
+                out,
             ),
-            // LE credit-based channel flows; on a BR/EDR link these commands
-            // keep falling through to the per-channel rejection paths below.
-            Command::LeCreditBasedConnectionRequest(req) if self.link_type.is_le() => self
-                .handle_le_connect(
-                    packet.identifier,
-                    req.spsm,
-                    std::slice::from_ref(&req.scid),
-                    req.mtu,
-                    req.mps,
-                    req.initial_credits,
-                    false,
-                ),
-            Command::CreditBasedConnectionRequest(req) if self.link_type.is_le() => self
-                .handle_le_connect(
-                    packet.identifier,
-                    req.spsm,
-                    &req.scids,
-                    req.mtu,
-                    req.mps,
-                    req.initial_credits,
-                    true,
-                ),
-            Command::FlowControlCreditInd(ind) if self.link_type.is_le() => {
-                self.handle_credit_ind(ind.cid, ind.credits)
+            Command::CreditBasedConnectionRequest(req) => self.handle_le_connect(
+                identifier,
+                req.spsm,
+                &req.scids,
+                req.mtu,
+                req.mps,
+                req.initial_credits,
+                true,
+                out,
+            ),
+            Command::FlowControlCreditInd(ind) => self.handle_credit_ind(ind.cid, ind.credits, out),
+            Command::CreditBasedReconfigureRequest(req) => {
+                self.handle_reconfigure(identifier, req.mtu, req.mps, &req.dcids, out)
             }
-            Command::CreditBasedReconfigureRequest(req) if self.link_type.is_le() => {
-                self.handle_reconfigure(packet.identifier, req.mtu, req.mps, &req.dcids)
-            }
-            Command::ConnectionParameterUpdateRequest(_) if self.link_type.is_le() => {
-                vec![self.reply(
-                    packet.identifier,
-                    Command::ConnectionParameterUpdateResponse(ConnectionParameterUpdateResponse {
-                        result: 0,
-                    }),
-                )]
-            }
-            Command::EchoRequest(req) => {
-                if self.quirks.supports_echo {
-                    // The decoded request owns its payload copy; the echo
-                    // moves it into the response instead of re-copying.
-                    vec![self.reply(
-                        packet.identifier,
-                        Command::EchoResponse(EchoResponse { data: req.data }),
-                    )]
-                } else {
-                    Vec::new()
-                }
-            }
+            Command::ConnectionParameterUpdateRequest(_) => out.push(self.reply(
+                identifier,
+                Command::ConnectionParameterUpdateResponse(ConnectionParameterUpdateResponse {
+                    result: 0,
+                }),
+            )),
             Command::InformationRequest(req) => {
                 let data = match req.info_type {
                     0x0002 => vec![0xB8, 0x02, 0x00, 0x00], // extended features mask
@@ -433,29 +407,17 @@ impl L2capEndpoint {
                 } else {
                     1
                 };
-                vec![self.reply(
-                    packet.identifier,
+                out.push(self.reply(
+                    identifier,
                     Command::InformationResponse(InformationResponse {
                         info_type: req.info_type,
                         result,
                         data,
                     }),
-                )]
+                ));
             }
-            // Raw payloads whose code is defined but whose structure did not
-            // parse: strict stacks reject them, lenient ones ignore them.
-            Command::Raw { .. } => {
-                if self.quirks.strict_malformed_filtering {
-                    Vec::new()
-                } else {
-                    vec![self.reject(
-                        packet.identifier,
-                        RejectReason::CommandNotUnderstood,
-                        Vec::new(),
-                    )]
-                }
-            }
-            _ => self.handle_channel_command(packet, code, channel_cid),
+            // `reads_fields` selects no other command.
+            _ => {}
         }
     }
 
@@ -465,8 +427,8 @@ impl L2capEndpoint {
         psm: Psm,
         scid: Cid,
         is_create: bool,
-        _controller_id: u8,
-    ) -> Vec<L2capFrame> {
+        out: &mut Vec<L2capFrame>,
+    ) {
         let make_response = |dcid: Cid, scid: Cid, result: ConnectionResult| {
             if is_create {
                 Command::CreateChannelResponse(CreateChannelResponse {
@@ -488,7 +450,8 @@ impl L2capEndpoint {
         if is_create && !self.quirks.supports_amp_channels {
             let rsp = make_response(Cid::NULL, scid, ConnectionResult::RefusedNoResources);
             self.rejects_sent += 1;
-            return vec![self.reply(identifier, rsp)];
+            out.push(self.reply(identifier, rsp));
+            return;
         }
 
         // Refusals: unsupported PSM, pairing-protected PSM, channel limit.
@@ -504,11 +467,12 @@ impl L2capEndpoint {
         if let Some(refusal) = result {
             self.rejects_sent += 1;
             let rsp = make_response(Cid::NULL, scid, refusal);
-            return vec![self.reply(identifier, rsp)];
+            out.push(self.reply(identifier, rsp));
+            return;
         }
 
         // Accept: allocate a CCB and run its state machine.
-        let id = self.ccbs.allocate(psm, scid);
+        self.ccbs.allocate(psm, scid);
         let (local_cid, actions) = {
             let ccb = self
                 .ccbs
@@ -524,9 +488,7 @@ impl L2capEndpoint {
             );
             (ccb.local_cid, reaction.actions)
         };
-        let _ = id;
 
-        let mut out = Vec::new();
         for action in actions {
             match action {
                 Action::Respond(
@@ -549,7 +511,6 @@ impl L2capEndpoint {
                 _ => {}
             }
         }
-        out
     }
 
     /// Handles an LE credit-based connection request (`0x14`, one channel)
@@ -565,7 +526,8 @@ impl L2capEndpoint {
         mps: u16,
         initial_credits: u16,
         enhanced: bool,
-    ) -> Vec<L2capFrame> {
+        out: &mut Vec<L2capFrame>,
+    ) {
         let make_response = |dcids: Vec<Cid>, result: u16| {
             if enhanced {
                 Command::CreditBasedConnectionResponse(CreditBasedConnectionResponse {
@@ -616,7 +578,8 @@ impl L2capEndpoint {
         };
         if let Some(result) = refusal {
             self.rejects_sent += 1;
-            return vec![self.reply(identifier, make_response(Vec::new(), result))];
+            out.push(self.reply(identifier, make_response(Vec::new(), result)));
+            return;
         }
 
         let code = if enhanced {
@@ -639,17 +602,17 @@ impl L2capEndpoint {
         // Partial grants answer "some connections refused – insufficient
         // resources" while still carrying the allocated DCIDs.
         let result = if dcids.len() < requested { 0x0004 } else { 0 };
-        vec![self.reply(identifier, make_response(dcids, result))]
+        out.push(self.reply(identifier, make_response(dcids, result)));
     }
 
     /// Handles a flow-control credit indication: accumulates the grant and —
     /// as the specification requires — disconnects the channel when the
     /// accumulated total exceeds 65535.
-    fn handle_credit_ind(&mut self, cid: Cid, credits: u16) -> Vec<L2capFrame> {
+    fn handle_credit_ind(&mut self, cid: Cid, credits: u16, out: &mut Vec<L2capFrame>) {
         let Some(ccb) = self.ccbs.by_any(cid) else {
             // Credits for a channel that does not exist are ignored silently
             // (an indication has no response to reject with).
-            return Vec::new();
+            return;
         };
         let (local, remote) = (ccb.local_cid, ccb.remote_cid);
         let overflow = ccb.grant_credits(credits);
@@ -658,15 +621,14 @@ impl L2capEndpoint {
         if overflow {
             self.ccbs.release_by_local(local);
             let id = self.next_id();
-            return vec![self.reply(
+            out.push(self.reply(
                 id,
                 Command::DisconnectionRequest(DisconnectionRequest {
                     dcid: remote,
                     scid: local,
                 }),
-            )];
+            ));
         }
-        Vec::new()
     }
 
     /// Handles an enhanced credit-based reconfigure request over the named
@@ -677,7 +639,8 @@ impl L2capEndpoint {
         mtu: u16,
         mps: u16,
         dcids: &[Cid],
-    ) -> Vec<L2capFrame> {
+        out: &mut Vec<L2capFrame>,
+    ) {
         let all_known =
             !dcids.is_empty() && dcids.iter().all(|cid| self.ccbs.by_local(*cid).is_some());
         let result = if !all_known {
@@ -696,10 +659,10 @@ impl L2capEndpoint {
         if result != 0 {
             self.rejects_sent += 1;
         }
-        vec![self.reply(
+        out.push(self.reply(
             identifier,
             Command::CreditBasedReconfigureResponse(CreditBasedReconfigureResponse { result }),
-        )]
+        ));
     }
 
     fn handle_channel_command(
@@ -707,20 +670,22 @@ impl L2capEndpoint {
         packet: &SignalingPacket,
         code: CommandCode,
         channel_cid: Option<Cid>,
-    ) -> Vec<L2capFrame> {
+        out: &mut Vec<L2capFrame>,
+    ) {
         let Some(local_cid) = channel_cid else {
             // No channel matched.  Responses to requests we never made are
             // either ignored (lenient) or rejected; channel requests with an
             // unknown CID are rejected with "invalid CID".
             if code.is_response() && self.quirks.lenient_unexpected_responses {
-                return Vec::new();
+                return;
             }
             let reason = if code.is_response() {
                 RejectReason::CommandNotUnderstood
             } else {
                 RejectReason::InvalidCidInRequest
             };
-            return vec![self.reject(packet.identifier, reason, Vec::new())];
+            out.push(self.reject(packet.identifier, reason, Vec::new()));
+            return;
         };
 
         // Moves are refused outright on stacks without AMP support.
@@ -731,13 +696,14 @@ impl L2capEndpoint {
                 .map(|c| c.remote_cid)
                 .unwrap_or(Cid::NULL);
             self.rejects_sent += 1;
-            return vec![self.reply(
+            out.push(self.reply(
                 packet.identifier,
                 Command::MoveChannelResponse(MoveChannelResponse {
                     icid,
                     result: MoveResult::RefusedNotAllowed,
                 }),
-            )];
+            ));
+            return;
         }
 
         let (remote_cid, reaction) = {
@@ -748,7 +714,6 @@ impl L2capEndpoint {
             (ccb.remote_cid, ccb.machine.on_command(code, true))
         };
 
-        let mut out = Vec::new();
         let mut release = false;
         for action in &reaction.actions {
             match action {
@@ -825,7 +790,6 @@ impl L2capEndpoint {
         if release {
             self.ccbs.release_by_local(local_cid);
         }
-        out
     }
 }
 
@@ -857,6 +821,15 @@ mod tests {
         )
     }
 
+    impl L2capEndpoint {
+        /// The replies to one frame, which must not fire a vulnerability.
+        fn replies(&mut self, frame: &L2capFrame) -> Vec<L2capFrame> {
+            let mut out = Vec::new();
+            assert!(self.handle_frame(frame, &mut out).is_none());
+            out
+        }
+    }
+
     fn first_command(frames: &[L2capFrame]) -> Vec<Command> {
         frames
             .iter()
@@ -867,9 +840,8 @@ mod tests {
     #[test]
     fn sdp_connect_succeeds_and_allocates_a_channel() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
-        let out = ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
-        assert!(out.triggered.is_none());
-        let cmds = first_command(&out.responses);
+        let out = ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
+        let cmds = first_command(&out);
         match &cmds[0] {
             Command::ConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, ConnectionResult::Success);
@@ -882,7 +854,7 @@ mod tests {
 
         // The device's own Configuration Request goes out as soon as the
         // initiator sends configuration traffic for the channel.
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(2),
             &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x0040),
@@ -890,7 +862,7 @@ mod tests {
                 options: vec![],
             }),
         ));
-        let cmds = first_command(&out.responses);
+        let cmds = first_command(&out);
         assert!(cmds
             .iter()
             .any(|c| matches!(c, Command::ConfigureRequest(_))));
@@ -902,8 +874,8 @@ mod tests {
     #[test]
     fn unsupported_psm_is_refused() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::sdp_only());
-        let out = ep.handle_frame(&connect_frame(Psm::AVDTP, 0x0040, 1));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&connect_frame(Psm::AVDTP, 0x0040, 1));
+        match &first_command(&out)[0] {
             Command::ConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, ConnectionResult::RefusedPsmNotSupported)
             }
@@ -915,8 +887,8 @@ mod tests {
     #[test]
     fn pairing_protected_psm_is_refused_with_security_block() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
-        let out = ep.handle_frame(&connect_frame(Psm::HID_CONTROL, 0x0040, 1));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&connect_frame(Psm::HID_CONTROL, 0x0040, 1));
+        match &first_command(&out)[0] {
             Command::ConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, ConnectionResult::RefusedSecurityBlock)
             }
@@ -931,16 +903,16 @@ mod tests {
             .default_quirks()
             .max_channels_per_link;
         for i in 0..limit {
-            let out = ep.handle_frame(&connect_frame(Psm::SDP, 0x0040 + i as u16, i as u8 + 1));
-            match &first_command(&out.responses)[0] {
+            let out = ep.replies(&connect_frame(Psm::SDP, 0x0040 + i as u16, i as u8 + 1));
+            match &first_command(&out)[0] {
                 Command::ConnectionResponse(rsp) => {
                     assert_eq!(rsp.result, ConnectionResult::Success)
                 }
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let out = ep.handle_frame(&connect_frame(Psm::SDP, 0x00A0, 99));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&connect_frame(Psm::SDP, 0x00A0, 99));
+        match &first_command(&out)[0] {
             Command::ConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, ConnectionResult::RefusedNoResources)
             }
@@ -951,35 +923,52 @@ mod tests {
     #[test]
     fn echo_and_information_requests_are_answered() {
         let mut ep = endpoint(VendorStack::BlueZ, ServiceTable::typical(13));
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(9),
             &Command::EchoRequest(EchoRequest {
                 data: vec![1, 2, 3],
             }),
         ));
-        assert!(matches!(
-            first_command(&out.responses)[0],
-            Command::EchoResponse(_)
-        ));
+        assert!(matches!(first_command(&out)[0], Command::EchoResponse(_)));
 
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(10),
             &Command::InformationRequest(InformationRequest { info_type: 2 }),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::InformationResponse(rsp) => assert_eq!(rsp.result, 0),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
+    fn echo_reply_carries_the_request_data_garbage_included() {
+        let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
+        // Declares two data bytes but carries five.
+        let packet = SignalingPacket {
+            identifier: Identifier(4),
+            code: 0x08,
+            declared_data_len: 2,
+            data: vec![1, 2, 3, 4, 5].into(),
+        };
+        let out = ep.replies(&packet.into_frame());
+        let echo = l2cap::command::EchoResponse {
+            data: vec![1, 2, 3, 4, 5],
+        };
+        assert_eq!(
+            out,
+            vec![signaling_frame(Identifier(4), &Command::EchoResponse(echo))]
+        );
+    }
+
+    #[test]
     fn full_handshake_reaches_open_and_disconnect_frees_the_channel() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
-        ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
+        ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
 
         // Fuzzer sends its Configure Request addressed to the allocated DCID.
         let dcid = 0x0040u16; // first allocation
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(2),
             &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(dcid),
@@ -987,12 +976,12 @@ mod tests {
                 options: vec![ConfigOption::Mtu(672)],
             }),
         ));
-        assert!(first_command(&out.responses)
+        assert!(first_command(&out)
             .iter()
             .any(|c| matches!(c, Command::ConfigureResponse(_))));
 
         // Fuzzer answers the device's own Configure Request.
-        ep.handle_frame(&signaling_frame(
+        ep.replies(&signaling_frame(
             Identifier(1),
             &Command::ConfigureResponse(ConfigureResponse {
                 scid: Cid(dcid),
@@ -1003,7 +992,7 @@ mod tests {
         ));
         assert!(ep.visited_states().contains(&ChannelState::Open));
 
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(3),
             &Command::DisconnectionRequest(DisconnectionRequest {
                 dcid: Cid(dcid),
@@ -1011,7 +1000,7 @@ mod tests {
             }),
         ));
         assert!(matches!(
-            first_command(&out.responses)[0],
+            first_command(&out)[0],
             Command::DisconnectionResponse(_)
         ));
         assert_eq!(ep.open_channels(), 0);
@@ -1020,14 +1009,14 @@ mod tests {
     #[test]
     fn unknown_cid_in_request_is_rejected_on_strict_stacks() {
         let mut ep = endpoint(VendorStack::Windows, ServiceTable::typical(10));
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(5),
             &Command::DisconnectionRequest(DisconnectionRequest {
                 dcid: Cid(0x0999),
                 scid: Cid(0x0998),
             }),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::CommandReject(rej) => {
                 assert_eq!(rej.reason, RejectReason::InvalidCidInRequest)
             }
@@ -1039,9 +1028,9 @@ mod tests {
     #[test]
     fn lenient_stack_routes_mismatched_config_cid_to_latest_channel() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
-        ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
+        ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
         // Configure Request with a DCID the device never allocated.
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(2),
             &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x7B8F),
@@ -1051,7 +1040,7 @@ mod tests {
         ));
         // Not rejected: the lenient stack processed it against the open
         // channel.
-        assert!(first_command(&out.responses)
+        assert!(first_command(&out)
             .iter()
             .any(|c| matches!(c, Command::ConfigureResponse(_))));
     }
@@ -1061,8 +1050,8 @@ mod tests {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
         let packet = SignalingPacket::from_raw(Identifier(7), 0x08, vec![0xAA; 700]);
         let frame = packet.into_frame();
-        let out = ep.handle_frame(&frame);
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&frame);
+        match &first_command(&out)[0] {
             Command::CommandReject(rej) => {
                 assert_eq!(rej.reason, RejectReason::SignalingMtuExceeded)
             }
@@ -1082,9 +1071,8 @@ mod tests {
             declared_data_len: 4,
             data: data.into(),
         };
-        let out = ep.handle_frame(&packet.into_frame());
-        assert!(out.responses.is_empty());
-        assert!(out.triggered.is_none());
+        let out = ep.replies(&packet.into_frame());
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1096,7 +1084,7 @@ mod tests {
             vec![vuln.clone()],
             FuzzRng::seed_from(11),
         );
-        ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
+        ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
 
         // Malformed Configure Request: unallocated DCID plus garbage.
         let packet = SignalingPacket {
@@ -1108,12 +1096,13 @@ mod tests {
             ]
             .into(),
         };
-        let out = ep.handle_frame(&packet.into_frame());
+        let mut out = Vec::new();
+        let fired = ep.handle_frame(&packet.into_frame(), &mut out);
         assert_eq!(
-            out.triggered.as_ref().map(|v| v.id.as_str()),
+            fired.as_ref().map(|v| v.id.as_str()),
             Some(vuln.id.as_str())
         );
-        assert!(out.responses.is_empty());
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1125,9 +1114,9 @@ mod tests {
             vec![vuln],
             FuzzRng::seed_from(11),
         );
-        let out = ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
-        assert!(out.triggered.is_none());
-        let out = ep.handle_frame(&signaling_frame(
+        // `replies` asserts that neither frame fires the vulnerability.
+        ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
+        ep.replies(&signaling_frame(
             Identifier(2),
             &Command::ConfigureRequest(ConfigureRequest {
                 dcid: Cid(0x0040),
@@ -1135,15 +1124,14 @@ mod tests {
                 options: vec![ConfigOption::Mtu(672)],
             }),
         ));
-        assert!(out.triggered.is_none());
     }
 
     #[test]
     fn unknown_command_code_gets_command_not_understood() {
         let mut ep = endpoint(VendorStack::BlueZ, ServiceTable::typical(13));
         let packet = SignalingPacket::from_raw(Identifier(1), 0x7E, vec![1, 2, 3]);
-        let out = ep.handle_frame(&packet.into_frame());
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&packet.into_frame());
+        match &first_command(&out)[0] {
             Command::CommandReject(rej) => {
                 assert_eq!(rej.reason, RejectReason::CommandNotUnderstood)
             }
@@ -1154,8 +1142,8 @@ mod tests {
     #[test]
     fn non_signaling_frames_are_consumed_silently() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
-        let out = ep.handle_frame(&L2capFrame::new(Cid(0x0040), vec![1, 2, 3]));
-        assert!(out.responses.is_empty());
+        let out = ep.replies(&L2capFrame::new(Cid(0x0040), vec![1, 2, 3]));
+        assert!(out.is_empty());
         assert_eq!(ep.packets_processed(), 0);
     }
 
@@ -1187,8 +1175,8 @@ mod tests {
     #[test]
     fn le_credit_based_connect_succeeds_on_a_supported_spsm() {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
-        let out = ep.handle_frame(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
+        match &first_command(&out)[0] {
             Command::LeCreditBasedConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, 0);
                 assert!(rsp.dcid.is_dynamic());
@@ -1208,14 +1196,14 @@ mod tests {
     fn le_connect_refusals_use_the_spec_result_codes() {
         let mut ep = le_endpoint(ServiceTable::le_typical(4));
         // Undefined SPSM (outside 0x0001..=0x00FF).
-        let out = ep.handle_frame(&le_connect_frame(0x1234, 0x0040, 1));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&le_connect_frame(0x1234, 0x0040, 1));
+        match &first_command(&out)[0] {
             Command::LeCreditBasedConnectionResponse(rsp) => assert_eq!(rsp.result, 0x0002),
             other => panic!("unexpected {other:?}"),
         }
         // Pairing-protected SPSM.
-        let out = ep.handle_frame(&le_connect_frame(0x0081, 0x0041, 2));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&le_connect_frame(0x0081, 0x0041, 2));
+        match &first_command(&out)[0] {
             Command::LeCreditBasedConnectionResponse(rsp) => assert_eq!(rsp.result, 0x0005),
             other => panic!("unexpected {other:?}"),
         }
@@ -1226,7 +1214,7 @@ mod tests {
     fn enhanced_connect_opens_up_to_five_channels_and_reconfigure_works() {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
         let scids: Vec<Cid> = (0x0040..0x0045).map(Cid).collect();
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(1),
             &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
@@ -1236,7 +1224,7 @@ mod tests {
                 scids: scids.clone(),
             }),
         ));
-        let dcids = match &first_command(&out.responses)[0] {
+        let dcids = match &first_command(&out)[0] {
             Command::CreditBasedConnectionResponse(rsp) => {
                 // Five channels requested against Zephyr's budget of four:
                 // a partial grant with "some refused – no resources".
@@ -1246,7 +1234,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         };
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(2),
             &Command::CreditBasedReconfigureRequest(
                 l2cap::command::CreditBasedReconfigureRequest {
@@ -1256,7 +1244,7 @@ mod tests {
                 },
             ),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::CreditBasedReconfigureResponse(rsp) => assert_eq!(rsp.result, 0),
             other => panic!("unexpected {other:?}"),
         }
@@ -1266,17 +1254,17 @@ mod tests {
     #[test]
     fn reused_or_repeated_source_cids_are_refused_with_0x000a() {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
-        ep.handle_frame(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
+        ep.replies(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
         assert_eq!(ep.open_channels(), 1);
         // A second connect reusing the bound SCID: refused, nothing leaks.
-        let out = ep.handle_frame(&le_connect_frame(Psm::EATT.value(), 0x0040, 2));
-        match &first_command(&out.responses)[0] {
+        let out = ep.replies(&le_connect_frame(Psm::EATT.value(), 0x0040, 2));
+        match &first_command(&out)[0] {
             Command::LeCreditBasedConnectionResponse(rsp) => assert_eq!(rsp.result, 0x000A),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(ep.open_channels(), 1);
         // An enhanced request repeating an SCID within itself: same refusal.
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(3),
             &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
@@ -1286,7 +1274,7 @@ mod tests {
                 scids: vec![Cid(0x0050), Cid(0x0050)],
             }),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::CreditBasedConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, 0x000A);
                 assert!(rsp.dcids.is_empty());
@@ -1299,7 +1287,7 @@ mod tests {
     #[test]
     fn enhanced_connect_with_more_than_five_channels_is_refused() {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
-        let out = ep.handle_frame(&signaling_frame(
+        let out = ep.replies(&signaling_frame(
             Identifier(1),
             &Command::CreditBasedConnectionRequest(l2cap::command::CreditBasedConnectionRequest {
                 spsm: Psm::EATT.value(),
@@ -1309,7 +1297,7 @@ mod tests {
                 scids: (0x0040..0x0046).map(Cid).collect(),
             }),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::CreditBasedConnectionResponse(rsp) => {
                 assert_eq!(rsp.result, 0x000B);
                 assert!(rsp.dcids.is_empty());
@@ -1322,7 +1310,7 @@ mod tests {
     #[test]
     fn credit_overflow_disconnects_the_channel() {
         let mut ep = le_endpoint(ServiceTable::le_typical(3));
-        ep.handle_frame(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
+        ep.replies(&le_connect_frame(Psm::EATT.value(), 0x0040, 1));
         assert_eq!(ep.open_channels(), 1);
         // Two maximal grants push the accumulated total past 65535; the
         // acceptor must disconnect per the specification.
@@ -1335,11 +1323,11 @@ mod tests {
                 }),
             )
         };
-        let out = ep.handle_frame(&grant(0xFFF0, 2));
-        assert!(out.responses.is_empty());
-        let out = ep.handle_frame(&grant(0xFFF0, 3));
+        let out = ep.replies(&grant(0xFFF0, 2));
+        assert!(out.is_empty());
+        let out = ep.replies(&grant(0xFFF0, 3));
         assert!(matches!(
-            first_command(&out.responses)[0],
+            first_command(&out)[0],
             Command::DisconnectionRequest(_)
         ));
         assert_eq!(ep.open_channels(), 0);
@@ -1363,8 +1351,8 @@ mod tests {
                 }),
             ),
         ] {
-            let out = ep.handle_frame(&frame);
-            match &first_command(&out.responses)[0] {
+            let out = ep.replies(&frame);
+            match &first_command(&out)[0] {
                 Command::CommandReject(rej) => {
                     assert_eq!(rej.reason, RejectReason::CommandNotUnderstood)
                 }
@@ -1377,15 +1365,15 @@ mod tests {
     #[test]
     fn move_refused_without_amp_support() {
         let mut ep = endpoint(VendorStack::Windows, ServiceTable::typical(10));
-        ep.handle_frame(&connect_frame(Psm::SDP, 0x0040, 1));
-        let out = ep.handle_frame(&signaling_frame(
+        ep.replies(&connect_frame(Psm::SDP, 0x0040, 1));
+        let out = ep.replies(&signaling_frame(
             Identifier(4),
             &Command::MoveChannelRequest(l2cap::command::MoveChannelRequest {
                 icid: Cid(0x0040),
                 dest_controller_id: 1,
             }),
         ));
-        match &first_command(&out.responses)[0] {
+        match &first_command(&out)[0] {
             Command::MoveChannelResponse(rsp) => {
                 assert_eq!(rsp.result, MoveResult::RefusedNotAllowed)
             }

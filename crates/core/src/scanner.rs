@@ -137,7 +137,7 @@ impl TargetScanner {
         let responses = link.send_frame(&frame);
         let mut status = PortStatus::NoResponse;
         let mut allocated_dcid = None;
-        for rsp in &responses {
+        for rsp in responses {
             if let Ok(sig) = parse_signaling(rsp) {
                 if let Command::LeCreditBasedConnectionResponse(rsp) = sig.command() {
                     status = match rsp.result {
@@ -173,7 +173,7 @@ impl TargetScanner {
         let responses = link.send_frame(&frame);
         let mut status = PortStatus::NoResponse;
         let mut allocated_dcid = None;
-        for rsp in &responses {
+        for rsp in responses {
             if let Ok(sig) = parse_signaling(rsp) {
                 if sig.code != l2cap::code::CommandCode::ConnectionResponse.value() {
                     continue;

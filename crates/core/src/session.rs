@@ -75,7 +75,7 @@ pub trait Strategy: Send {
     fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket;
 
     /// Called with each test packet's exchange, before the detector runs.
-    fn learn(&mut self, _at: &Parked<'_>, _packet: &SignalingPacket, _outcome: &SendOutcome) {}
+    fn learn(&mut self, _at: &Parked<'_>, _packet: &SignalingPacket, _outcome: &SendOutcome<'_>) {}
 }
 
 /// The paper's engine: every initiator-reachable state in canonical order,
@@ -249,9 +249,12 @@ impl L2FuzzSession {
                 let outcome = send(link, &packet);
                 report.malformed_sent += 1;
                 strategy.learn(&at, &packet, &outcome);
+                // The outcome borrows the link's reply buffer; the detector
+                // needs the link back.
+                let silent = outcome.silent;
                 let verdict = match oracle {
-                    Some(ref mut o) => detector.check(link, Some(&mut **o), outcome.silent),
-                    None => detector.check(link, None, outcome.silent),
+                    Some(ref mut o) => detector.check(link, Some(&mut **o), silent),
+                    None => detector.check(link, None, silent),
                 };
                 if let DetectionVerdict::Vulnerable(evidence) = verdict {
                     let finding = VulnerabilityFinding {

@@ -11,7 +11,6 @@ use btcore::LinkType;
 use l2cap::state::ChannelState;
 use l2fuzz::queue::SendOutcome;
 use serde::{Deserialize, Serialize};
-use sniffer::classify::is_rejection_command;
 
 /// Coarse classification of what a target answered to one test packet.
 ///
@@ -32,13 +31,15 @@ pub enum ResponseClass {
 }
 
 impl ResponseClass {
-    /// Classifies one transmission outcome.
-    pub fn of(outcome: &SendOutcome) -> ResponseClass {
+    /// Classifies one transmission outcome.  `refused` says whether any
+    /// answer is a rejection by [`sniffer::classify::is_rejection_signaling`],
+    /// which the caller checks on the same parse it feeds to coverage.
+    pub fn of(outcome: &SendOutcome<'_>, refused: bool) -> ResponseClass {
         if outcome.silent {
             ResponseClass::Silent
         } else if outcome.rejected {
             ResponseClass::Rejected
-        } else if outcome.responses.iter().any(is_rejection_command) {
+        } else if refused {
             ResponseClass::Refused
         } else {
             ResponseClass::Answered

@@ -21,6 +21,7 @@ use l2fuzz::fuzzer::{FuzzCtx, Fuzzer};
 use l2fuzz::queue::SendOutcome;
 use l2fuzz::report::FuzzReport;
 use l2fuzz::session::{L2FuzzTool, Parked, Strategy};
+use sniffer::classify::is_rejection_signaling;
 use sniffer::coverage::CoverageBuilder;
 
 use crate::corpus::{CorpusEntry, FeedbackCorpus, NoveltyKey, ResponseClass};
@@ -231,18 +232,18 @@ impl Strategy for Feedback {
         }
     }
 
-    fn learn(&mut self, at: &Parked<'_>, packet: &SignalingPacket, outcome: &SendOutcome) {
+    fn learn(&mut self, at: &Parked<'_>, packet: &SignalingPacket, outcome: &SendOutcome<'_>) {
         self.coverage.saw_tx_signaling();
         self.coverage.observe(Direction::Tx, packet);
-        for response in &outcome.responses {
-            self.coverage.observe(
-                Direction::Rx,
-                &SignalingPacket::new(packet.identifier, response.clone()),
-            );
+        // Each answer is parsed once, for coverage and for its class.
+        let mut refused = false;
+        for reply in outcome.signaling() {
+            self.coverage.observe(Direction::Rx, &reply);
+            refused |= is_rejection_signaling(&reply);
         }
         let key = NoveltyKey {
             signature: self.coverage.signature_snapshot(),
-            class: ResponseClass::of(outcome),
+            class: ResponseClass::of(outcome, refused),
         };
         if !self.corpus.contains(key) {
             self.corpus.consider(CorpusEntry {

@@ -31,12 +31,24 @@ pub trait VirtualDevice: Send {
     /// here; the default does nothing.
     fn attach_link(&mut self, _slot: LinkSlot, _link_type: LinkType) {}
 
-    /// Processes one inbound L2CAP frame arriving on `slot` and returns the
-    /// frames the device sends back, in order.
+    /// Processes one inbound L2CAP frame arriving on `slot` and appends the
+    /// frames the device sends back, in order, to `out`.
     ///
-    /// The frame is borrowed from the transmitting link; a device that wants
-    /// to keep the bytes clones the frame, which never allocates.
-    fn receive(&mut self, slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame>;
+    /// This is the method the medium calls.  `out` is the link's reply
+    /// buffer, reused from one exchange to the next, and may already hold
+    /// the replies to an earlier frame of the same exchange (a duplicate or
+    /// a late reordered frame): a device appends and never clears it.  The
+    /// frame is borrowed from the transmitting link; a device that wants to
+    /// keep the bytes clones the frame, which never allocates.
+    fn receive_into(&mut self, slot: LinkSlot, frame: &L2capFrame, out: &mut Vec<L2capFrame>);
+
+    /// [`VirtualDevice::receive_into`] into a fresh vector, for callers that
+    /// keep no reply buffer of their own.
+    fn receive(&mut self, slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame> {
+        let mut out = Vec::new();
+        self.receive_into(slot, frame, &mut out);
+        out
+    }
 
     /// Whether the device's Bluetooth service is still running (a device
     /// whose stack crashed or shut down stops answering inquiries and
@@ -73,8 +85,8 @@ impl VirtualDevice for BoxedDevice {
     fn attach_link(&mut self, slot: LinkSlot, link_type: LinkType) {
         self.0.attach_link(slot, link_type);
     }
-    fn receive(&mut self, slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame> {
-        self.0.receive(slot, frame)
+    fn receive_into(&mut self, slot: LinkSlot, frame: &L2capFrame, out: &mut Vec<L2capFrame>) {
+        self.0.receive_into(slot, frame, out);
     }
     fn bluetooth_alive(&self) -> bool {
         self.0.bluetooth_alive()
@@ -115,11 +127,10 @@ impl VirtualDevice for EchoDevice {
         self.meta.clone()
     }
 
-    fn receive(&mut self, _slot: LinkSlot, frame: &L2capFrame) -> Vec<L2capFrame> {
-        if !self.alive {
-            return Vec::new();
+    fn receive_into(&mut self, _slot: LinkSlot, frame: &L2capFrame, out: &mut Vec<L2capFrame>) {
+        if self.alive {
+            out.push(frame.clone());
         }
-        vec![frame.clone()]
     }
 
     fn bluetooth_alive(&self) -> bool {
@@ -137,6 +148,10 @@ mod tests {
         let mut dev = EchoDevice::new(BdAddr::new([1, 2, 3, 4, 5, 6]));
         let frame = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x00, 0x00]);
         assert_eq!(dev.receive(LinkSlot::PRIMARY, &frame), vec![frame.clone()]);
+        // Replies are appended after what the buffer already holds.
+        let mut out = vec![frame.clone()];
+        dev.receive_into(LinkSlot::PRIMARY, &frame, &mut out);
+        assert_eq!(out, vec![frame.clone(), frame.clone()]);
         assert!(dev.bluetooth_alive());
         dev.shut_down();
         assert!(dev.receive(LinkSlot::PRIMARY, &frame).is_empty());

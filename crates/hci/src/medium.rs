@@ -249,6 +249,7 @@ impl EventMedium {
             deadline_micros,
             stalled_until: 0,
             held_frame: None,
+            replies: Vec::new(),
         })
     }
 }
@@ -284,6 +285,9 @@ pub struct LinkHandle {
     /// Depth-1 reorder slot: a frame held back by the fault plan, delivered
     /// after the next exchange.
     held_frame: Option<L2capFrame>,
+    /// The current exchange's replies.  Cleared, not freed, at the start of
+    /// each exchange, so a warmed-up link answers without allocating.
+    replies: Vec<L2capFrame>,
 }
 
 impl LinkHandle {
@@ -392,6 +396,10 @@ impl LinkHandle {
     /// Sends an L2CAP frame to the target and returns the frames it answers
     /// with (possibly none).
     ///
+    /// The answers are a view of a reply buffer the link keeps between
+    /// exchanges, valid until the next exchange on this link: read them on
+    /// the spot, or copy them out (`.to_vec()`) to keep them.
+    ///
     /// The exchange fires as one event: the link waits at the medium's
     /// turnstile until its virtual time is globally minimal, then the frame
     /// is fragmented into ACL packets, carried across the virtual air
@@ -403,7 +411,7 @@ impl LinkHandle {
     ///
     /// # Panics
     /// Panics if the link has been retired.
-    pub fn send_frame(&mut self, frame: &L2capFrame) -> Vec<L2capFrame> {
+    pub fn send_frame(&mut self, frame: &L2capFrame) -> &[L2capFrame] {
         assert!(
             !self.retired.load(Ordering::Acquire),
             "retired link must not send frames"
@@ -433,37 +441,34 @@ impl LinkHandle {
         self.clock
             .advance_micros(self.config.latency_micros * fragment_count as u64);
 
+        self.replies.clear();
         let faults = self.config.faults;
-        let responses = if faults.is_none() {
-            self.deliver(frame, fragment_count)
+        if faults.is_none() {
+            self.deliver(frame, fragment_count);
         } else {
-            self.deliver_with_faults(frame, &faults, ticket.seed)
-        };
+            self.deliver_with_faults(frame, &faults, ticket.seed);
+        }
 
-        for rsp in &responses {
+        for rsp in &self.replies {
             self.clock.advance_micros(self.config.latency_micros);
             self.record(Direction::Rx, rsp);
-            self.frames_received += 1;
         }
+        self.frames_received += self.replies.len() as u64;
 
         let end = self.clock.now_micros();
         self.core.clock.advance_to(end);
         self.core.scheduler.end_event(self.source, end, &ticket);
-        responses
+        &self.replies
     }
 
-    /// Runs one exchange through the link's [`FaultPlan`].
+    /// Runs one exchange through the link's [`FaultPlan`], appending the
+    /// replies to the link's reply buffer.
     ///
     /// Decisions draw from a per-event RNG seeded from the scheduler ticket
     /// in a fixed order — jitter, stall, loss, corruption, reorder,
     /// duplication — so the same campaign seed and plan always reproduce
     /// the same faulty schedule.
-    fn deliver_with_faults(
-        &mut self,
-        frame: &L2capFrame,
-        faults: &FaultPlan,
-        ticket_seed: u64,
-    ) -> Vec<L2capFrame> {
+    fn deliver_with_faults(&mut self, frame: &L2capFrame, faults: &FaultPlan, ticket_seed: u64) {
         let mut rng = FuzzRng::seed_from(splitmix64(ticket_seed ^ self.link_seed ^ FAULT_DOMAIN));
         if faults.jitter_micros > 0 {
             let jitter = rng.range_usize(0, faults.jitter_micros as usize) as u64;
@@ -474,19 +479,16 @@ impl LinkHandle {
         // held in the reorder slot.
         if now < self.stalled_until {
             self.held_frame = None;
-            return Vec::new();
+            return;
         }
         if faults.stall > 0.0 && rng.chance(faults.stall) {
             self.stalled_until = now + faults.stall_micros;
             self.held_frame = None;
-            return Vec::new();
+            return;
         }
         let previously_held = self.held_frame.take();
         let lost = faults.loss > 0.0 && rng.chance(faults.loss);
-        // Frames reaching the target this exchange, in arrival order: the
-        // current frame first, then a previously held one — the older frame
-        // arrives late, which is exactly depth-1 reordering.
-        let mut arriving: Vec<L2capFrame> = Vec::new();
+        let mut current = None;
         if !lost {
             let outgoing = if faults.corrupt > 0.0 && rng.chance(faults.corrupt) {
                 corrupt_frame(frame, &mut rng)
@@ -496,22 +498,24 @@ impl LinkHandle {
             if faults.reorder > 0.0 && previously_held.is_none() && rng.chance(faults.reorder) {
                 self.held_frame = Some(outgoing);
             } else {
-                arriving.push(outgoing);
+                current = Some(outgoing);
             }
         }
-        arriving.extend(previously_held);
-        let mut responses = Vec::new();
-        for arrived in &arriving {
+        // Frames reaching the target this exchange, in arrival order: the
+        // current frame first, then a previously held one — the older frame
+        // arrives late, which is exactly depth-1 reordering.
+        for arrived in [current, previously_held].into_iter().flatten() {
             let fragments = arrived.wire_len().div_ceil(acl::ACL_FRAGMENT_SIZE).max(1);
-            responses.extend(self.deliver(arrived, fragments));
+            self.deliver(&arrived, fragments);
             if faults.duplicate > 0.0 && rng.chance(faults.duplicate) {
-                responses.extend(self.deliver(arrived, fragments));
+                self.deliver(&arrived, fragments);
             }
         }
-        responses
     }
 
-    fn deliver(&mut self, frame: &L2capFrame, fragment_count: usize) -> Vec<L2capFrame> {
+    /// Carries one frame to the device and appends its replies to the
+    /// link's reply buffer.
+    fn deliver(&mut self, frame: &L2capFrame, fragment_count: usize) {
         // A single fragment crosses the air byte-for-byte, so re-parsing its
         // serialized form is the identity: the device is handed a borrowed
         // view of the original frame and no byte is serialized or copied.
@@ -529,16 +533,14 @@ impl LinkHandle {
                     reassembled = f;
                     &reassembled
                 }
-                Err(_) => return Vec::new(),
+                Err(_) => return,
             }
         };
 
         let mut dev = self.device.lock();
         self.clock.advance_micros(dev.processing_cost_micros());
-        if !dev.bluetooth_alive() {
-            Vec::new()
-        } else {
-            dev.receive(self.slot, delivered_frame)
+        if dev.bluetooth_alive() {
+            dev.receive_into(self.slot, delivered_frame, &mut self.replies);
         }
     }
 }

@@ -127,10 +127,8 @@ pub fn is_rejection_signaling(packet: &l2cap::packet::SignalingPacket) -> bool {
     }
 }
 
-/// The decoded-command half of [`is_rejection_signaling`], for callers that
-/// already hold typed commands (a live fuzzing loop classifies the parsed
-/// responses of each send outcome without re-encoding them).
-pub fn is_rejection_command(cmd: &Command) -> bool {
+/// The decoded-command half of [`is_rejection_signaling`].
+fn is_rejection_command(cmd: &Command) -> bool {
     match cmd {
         Command::CommandReject(_) => true,
         Command::ConnectionResponse(rsp) => rsp.result.is_refusal(),

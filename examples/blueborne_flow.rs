@@ -52,7 +52,7 @@ fn main() {
         "malformed Configuration Response sent; {} response frame(s)",
         responses.len()
     );
-    for frame in &responses {
+    for frame in responses {
         if let Ok(sig) = parse_signaling(frame) {
             println!("  target answered with {:?}", sig.command().code());
         }
