@@ -310,6 +310,46 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_peer_hands_the_numbering_to_the_sole_source_path() {
+        // The survivor fires at 0, 2, …, 38 and its peer at 1, 3, …, 39,
+        // each raising its bound to its next event's time.  The peer then
+        // retires and the survivor fires ten more events alone, on the
+        // fast path.  The numbering runs on across the hand-over: every
+        // sequence number appears once, in virtual-time order.
+        let sched = EventScheduler::new(5);
+        let survivor = sched.register(0);
+        let peer = sched.register(1);
+        let fired = Mutex::new(Vec::new());
+        let fire = |id, t: u64, next: u64| {
+            let ticket = sched.begin_event(id, t);
+            fired.lock().unwrap().push((ticket.seq, t));
+            sched.end_event(id, next, &ticket);
+            ticket
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for t in (1..40).step_by(2) {
+                    fire(peer, t, t + 2);
+                }
+                sched.retire(peer);
+            });
+            for t in (0..40).step_by(2) {
+                fire(survivor, t, t + 2);
+            }
+            while sched.active_sources() > 1 {
+                std::thread::yield_now();
+            }
+            for t in 40..50 {
+                assert!(fire(survivor, t, t + 1).fast);
+            }
+        });
+        let mut fired = fired.into_inner().unwrap();
+        fired.sort_unstable();
+        assert_eq!(fired, (0..50).map(|t| (t, t)).collect::<Vec<_>>());
+        assert_eq!(sched.events_fired(), 50);
+    }
+
+    #[test]
     fn retiring_releases_waiters() {
         let sched = Arc::new(EventScheduler::new(9));
         let early = sched.register(0);

@@ -710,6 +710,49 @@ mod tests {
     }
 
     #[test]
+    fn exchanges_are_stamped_at_exact_virtual_times() {
+        // The default link takes 800 µs to transmit and 400 µs per ACL
+        // fragment in flight and per reply; the echo device processes each
+        // delivery for 150 µs.  One exchange from a link connected at 5 ms,
+        // on the medium clock or on a clock of its own: the tap's stamps,
+        // then the link and medium clocks.
+        let exchange = |payload: Vec<u8>, faults: FaultPlan, own_clock: bool| {
+            let (mut air, addr) = setup();
+            let config = LinkConfig::default().with_faults(faults);
+            let mut spec = LinkSpec::new(addr, config, FuzzRng::seed_from(1));
+            if own_clock {
+                spec = spec.with_clock(SimClock::new());
+            }
+            let mut link = air.connect_spec(spec).unwrap();
+            assert_eq!(link.clock().now_micros(), 5_000);
+            let tap = new_tap();
+            link.attach_tap(tap.clone());
+            link.send_frame(&L2capFrame::new(Cid::SIGNALING, payload));
+            let stamps = tap
+                .lock()
+                .iter()
+                .map(|r| (r.direction, r.timestamp_micros))
+                .collect::<Vec<_>>();
+            (stamps, link.clock().now_micros(), air.clock().now_micros())
+        };
+        let (tx, rx) = (Direction::Tx, Direction::Rx);
+        let request = vec![0x08, 0x01, 0x00, 0x00];
+        for own_clock in [false, true] {
+            let (stamps, link_end, medium_end) =
+                exchange(request.clone(), FaultPlan::none(), own_clock);
+            assert_eq!(stamps, [(tx, 5_800), (rx, 6_750)]);
+            assert_eq!((link_end, medium_end), (6_750, 6_750));
+            // 3,000 payload bytes cross as three ACL fragments.
+            let (stamps, ..) = exchange(vec![0x5A; 3000], FaultPlan::none(), own_clock);
+            assert_eq!(stamps, [(tx, 5_800), (rx, 7_550)]);
+            // A duplicate is processed again, and both replies travel back.
+            let duplicated = FaultPlan::none().with_duplication(1.0);
+            let (stamps, ..) = exchange(request.clone(), duplicated, own_clock);
+            assert_eq!(stamps, [(tx, 5_800), (rx, 6_900), (rx, 7_300)]);
+        }
+    }
+
+    #[test]
     fn total_loss_drops_every_frame() {
         let (mut air, addr) = setup();
         let config = LinkConfig::default().with_faults(FaultPlan::none().with_loss(1.0));

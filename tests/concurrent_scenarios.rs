@@ -12,6 +12,10 @@
 //! 3. **Dual transport** — one BR/EDR and one LE initiator fuzz the
 //!    dual-mode D10 profile in a single campaign, and the seeded SPSM
 //!    confusion vulnerability is detected end to end.
+//!
+//! The dual-transport and a three-initiator campaign's packet streams are
+//! pinned to trace digests, so a change to the turnstile or the medium's
+//! clock charges cannot shift them unnoticed.
 
 use btcore::{Cid, Identifier};
 use btcore::{FuzzRng, LinkType, SimClock};
@@ -25,6 +29,8 @@ use l2cap::packet::{parse_signaling, signaling_frame};
 use l2fuzz::campaign::{derived_seeds, Campaign};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
+use l2fuzz::{Fuzzer, TxBudget};
+use service::digest::trace_digest;
 use sniffer::StateCoverage;
 
 /// Sends one signalling command over a link and parses the first response.
@@ -169,6 +175,7 @@ fn dual_transport_campaign_detects_the_d10_vuln_end_to_end() {
     assert_eq!(outcome.device.lock().status(), HostStatus::Crashed);
     let fired = outcome.device.lock().fired_vulnerabilities().to_vec();
     assert_eq!(fired[0].vuln.id, "SIM-BLUEDROID-SPSM-OOB");
+    assert_eq!(fired[0].timestamp_micros, 280_770);
 
     // Each initiator's states stay within its own transport's reachable
     // set.
@@ -178,6 +185,39 @@ fn dual_transport_campaign_detects_the_d10_vuln_end_to_end() {
     for state in &outcome.report.states_tested {
         assert!(state.reachable_from_initiator_on(LinkType::BrEdr));
     }
+
+    // Both streams are pinned: the two timelines interleave at the
+    // turnstile, so a change to either link's clock charges moves them.
+    assert_eq!(trace_digest(&outcome.trace), 0x452d_af96_dc48_6c93);
+    assert_eq!(
+        trace_digest(&outcome.secondary[0].trace),
+        0x77be_71dc_8866_dd5c
+    );
+}
+
+#[test]
+fn three_initiator_budget_campaign_replays_its_pinned_streams() {
+    let outcome = Campaign::builder()
+        .target(DeviceProfile::table5(ProfileId::D4))
+        .initiators_per_target(3)
+        .fuzzer(|| Box::new(L2FuzzTool::new(FuzzConfig::budget_driven())) as Box<dyn Fuzzer>)
+        .budget(TxBudget::packets(3000))
+        .seed(0x44)
+        .run()
+        .expect("three-initiator campaign runs")
+        .into_single();
+    let digests: Vec<u64> = std::iter::once(&outcome.trace)
+        .chain(outcome.secondary.iter().map(|i| &i.trace))
+        .map(trace_digest)
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0x8bb5_9772_960d_7f62,
+            0xa83b_e790_3770_4f55,
+            0xe9fd_bebf_a0e8_13a5
+        ]
+    );
 }
 
 #[test]

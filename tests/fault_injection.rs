@@ -11,13 +11,15 @@
 //! distinguish a lossy link from a dead target; disarming the retries
 //! reintroduces the false verdicts, proving they are what carries the
 //! property.  **Faulty schedules replay**: every chaos campaign is as
-//! bit-for-bit reproducible as an ideal-link one.
+//! bit-for-bit reproducible as an ideal-link one, and budget campaigns
+//! under every fault family at once hash to pinned trace digests.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz::campaign::Campaign;
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
-use l2fuzz::{FaultPlan, RetryPolicy};
+use l2fuzz::{FaultPlan, Fuzzer, RetryPolicy, TxBudget};
+use service::digest::trace_digest;
 
 /// A detection campaign against `id` under `plan`, 5 rounds, default
 /// (lossy-link) retry.
@@ -91,6 +93,66 @@ fn chaos_matrix_loss_corrupt_stall_on_both_transports() {
                 "{fault} × {transport}: verdict without a fired vulnerability"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Faulty streams are pinned, not only replayed: a rerun cannot notice a
+// change that shifts every timestamp of the fault path the same way.
+
+/// The first vulnerability a campaign fires, and the virtual time it fires
+/// at.  The device reads the clock in the middle of an exchange, so the
+/// timestamp pins the clock charges made before the device runs.
+type FirstFired = Option<(&'static str, u64)>;
+
+/// Each target with the digest and length of its trace, and its first
+/// fired vulnerability.
+const PINNED_FAULTY_TRACES: [(ProfileId, u64, usize, FirstFired); 3] = [
+    (
+        ProfileId::D2,
+        0xe74e_ce53_d52b_ed26,
+        4_738,
+        Some(("SIM-BLUEDROID-L2C-NULLPTR", 2_655_808)),
+    ),
+    (ProfileId::D4, 0x58ca_fb2e_5cce_2b8a, 4_257, None),
+    (
+        ProfileId::D9,
+        0xd21c_191e_451b_a8f3,
+        4_591,
+        Some(("SIM-ZEPHYR-LE-CREDIT-UNDERFLOW", 420_016)),
+    ),
+];
+
+#[test]
+fn faulty_budget_campaigns_replay_their_pinned_traces() {
+    let plan = FaultPlan::degraded(0.2, 0.2)
+        .with_duplication(0.1)
+        .with_reorder(0.2)
+        .with_stall(0.05, 10_000)
+        .with_jitter(300);
+    for (target, pinned, records, first_fired) in PINNED_FAULTY_TRACES {
+        let outcome = Campaign::builder()
+            .target(DeviceProfile::table5(target))
+            .fuzzer(|| Box::new(L2FuzzTool::new(FuzzConfig::budget_driven())) as Box<dyn Fuzzer>)
+            .budget(TxBudget::packets(3000))
+            .auto_restart(true)
+            .faults(plan)
+            .seed(77)
+            .run()
+            .expect("faulty campaign runs")
+            .into_single();
+        let digest = trace_digest(&outcome.trace);
+        assert_eq!(
+            digest, pinned,
+            "{target}: trace digest {digest:016x}, pinned {pinned:016x}"
+        );
+        assert_eq!(outcome.trace.len(), records, "{target}: trace length");
+        let device = outcome.device.lock();
+        let fired = device
+            .fired_vulnerabilities()
+            .first()
+            .map(|f| (f.vuln.id.as_str(), f.timestamp_micros));
+        assert_eq!(fired, first_fired, "{target}: first fired vulnerability");
     }
 }
 
