@@ -65,8 +65,15 @@ impl SimClock {
     /// current time; a no-op otherwise.  The event-driven medium uses this
     /// to keep its timeline at the latest fired event when links run on
     /// their own local clocks.
+    ///
+    /// A clock already at the instant is only read, not written: clocks
+    /// never run backwards, so skipping the atomic maximum there changes
+    /// nothing, and a link on the medium clock (every single-initiator
+    /// campaign) ends each exchange exactly there.
     pub fn advance_to(&self, micros: u64) {
-        self.micros.fetch_max(micros, Ordering::SeqCst);
+        if self.micros.load(Ordering::SeqCst) < micros {
+            self.micros.fetch_max(micros, Ordering::SeqCst);
+        }
     }
 
     /// Returns a timestamp in whole microseconds (handy for trace records).
@@ -124,6 +131,16 @@ mod tests {
         b.advance(Duration::from_secs(2));
         assert_eq!(a.now(), Duration::from_secs(3));
         assert_eq!(b.now(), Duration::from_secs(3));
+    }
+
+    #[test]
+    fn advance_to_only_moves_forward() {
+        let c = SimClock::new();
+        c.advance_to(700);
+        assert_eq!(c.now_micros(), 700);
+        c.advance_to(700);
+        c.advance_to(300);
+        assert_eq!(c.now_micros(), 700);
     }
 
     #[test]

@@ -91,12 +91,13 @@ impl SchedulerState {
 /// deterministic firing order.
 ///
 /// With a single live source the scheduler is a formality: the fast path
-/// admits the event with one atomic increment — no lock, no wake-up — so
-/// single-initiator campaigns pay essentially nothing per exchange.  The
-/// fast path is sound because sources must be registered *before*
-/// concurrent driving begins (the campaign harness connects every link,
-/// then spawns the initiator threads): while `active == 1`, the sole live
-/// source is by construction the caller, and there is nobody to order
+/// admits the event with a load of the live-source count and a plain load
+/// and store of the firing counter — no lock, no locked instruction, no
+/// wake-up — so single-initiator campaigns pay essentially nothing per
+/// exchange.  The fast path is sound because sources must be registered
+/// *before* concurrent driving begins (the campaign harness connects every
+/// link, then spawns the initiator threads): while `active == 1`, the sole
+/// live source is by construction the caller, and there is nobody to order
 /// against or wake.
 #[derive(Debug)]
 pub struct EventScheduler {
@@ -175,7 +176,13 @@ impl EventScheduler {
             // Its stored lower bound may go stale, which is conservative: a
             // source registered later only ever waits *longer* on it, and
             // the bound refreshes on this source's next slow-path event.
-            let seq = self.fired.fetch_add(1, Ordering::Relaxed);
+            //
+            // Nobody else can fire, so a plain load and store number the
+            // event.  A retired peer's last increment is visible: `retire`
+            // published it with its `Release` decrement of `active`, which
+            // the `Acquire` load above observed.
+            let seq = self.fired.load(Ordering::Relaxed);
+            self.fired.store(seq + 1, Ordering::Relaxed);
             return self.ticket(seq, true);
         }
         // analyzer: allow(panic) — lock poisoning propagates a driver panic.

@@ -7,11 +7,11 @@
 //! [`TargetOracle`]).  *Connection Failed* means the Bluetooth service went
 //! away (denial of service); the other errors indicate a crash.
 
-use btcore::{ConnectionError, Identifier, LinkType, PingOutcome, TargetOracle};
+use btcore::{Cid, ConnectionError, FrameBuf, Identifier, LinkType, PingOutcome, TargetOracle};
 use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::command::{Command, ConnectionParameterUpdateRequest, EchoRequest};
-use l2cap::packet::{parse_signaling, signaling_frame};
+use l2cap::packet::{parse_signaling, signaling_frame, L2capFrame};
 use serde::{Deserialize, Serialize};
 
 use crate::retry::RetryPolicy;
@@ -50,9 +50,9 @@ impl DetectionVerdict {
 pub struct VulnerabilityDetector {
     next_ping_id: u8,
     pings_sent: u64,
-    /// The liveness probe, built once and re-encoded under each ping's
-    /// identifier.
-    probe: Command,
+    /// The liveness probe's C-frame, encoded once; each ping copies it
+    /// under its own identifier.
+    probe: FrameBuf,
     /// The code of the probe's answer.
     expected_code: CommandCode,
     retry: RetryPolicy,
@@ -90,7 +90,7 @@ impl VulnerabilityDetector {
         VulnerabilityDetector {
             next_ping_id: 0x70,
             pings_sent: 0,
-            probe,
+            probe: signaling_frame(Identifier(0), &probe).payload,
             expected_code,
             retry: RetryPolicy::none(),
         }
@@ -118,8 +118,12 @@ impl VulnerabilityDetector {
             self.next_ping_id + 1
         };
         self.pings_sent += 1;
-        let frame = signaling_frame(Identifier(self.next_ping_id), &self.probe);
-        let responses = link.send_frame(&frame);
+        let c_frame = FrameBuf::build(|out| {
+            out.extend_from_slice(&self.probe);
+            // The C-frame's second byte is its identifier.
+            out[1] = self.next_ping_id;
+        });
+        let responses = link.send_frame(&L2capFrame::new(Cid::SIGNALING, c_frame));
         // The answer is identified by its code byte alone.
         responses.iter().any(|f| {
             parse_signaling(f)

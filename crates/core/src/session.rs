@@ -7,7 +7,7 @@
 //! [`Dictionary`] is the paper's engine; the `feedback` crate's
 //! coverage-guided engine is the other.
 
-use btcore::{DeviceMeta, FuzzRng, LinkType, SimClock, TargetOracle};
+use btcore::{DeviceMeta, FuzzRng, Identifier, LinkType, SimClock, TargetOracle};
 use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
@@ -71,7 +71,8 @@ pub trait Strategy: Send {
     /// packet.
     fn enter(&mut self, _at: &mut Parked<'_>) {}
 
-    /// The `index`-th test packet of the parked state.
+    /// The `index`-th test packet of the parked state.  The loop asks for
+    /// the indices in order, from 0, once each.
     fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket;
 
     /// Called with each test packet's exchange, before the detector runs.
@@ -81,11 +82,16 @@ pub trait Strategy: Send {
 /// The paper's engine: every initiator-reachable state in canonical order,
 /// `packets_per_command` Algorithm 1 mutations per valid command, numbered
 /// up from one guide identifier per state.
+///
+/// Each test packet is mutated when the loop asks for it, in the order
+/// [`CoreFieldMutator::generate`] draws a state's whole dictionary, so the
+/// packet stream is the same and no packet is built that the packet cap or
+/// a finding leaves unsent.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     per_command: usize,
-    /// The parked state's test packets.
-    packets: Vec<SignalingPacket>,
+    /// The identifier of the parked state's next test packet.
+    identifier: Identifier,
 }
 
 impl Strategy for Dictionary {
@@ -115,16 +121,14 @@ impl Strategy for Dictionary {
     }
 
     fn enter(&mut self, at: &mut Parked<'_>) {
-        self.packets = at.mutator.generate(
-            at.commands,
-            self.per_command,
-            &at.channel,
-            at.guide.next_identifier(),
-        );
+        self.identifier = at.guide.next_identifier();
     }
 
-    fn packet(&mut self, _at: &mut Parked<'_>, index: u64) -> SignalingPacket {
-        self.packets[index as usize].clone()
+    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket {
+        let code = at.commands[index as usize / self.per_command];
+        let packet = at.mutator.mutate(code, &at.channel, self.identifier);
+        self.identifier = self.identifier.next();
+        packet
     }
 }
 
@@ -441,6 +445,39 @@ mod tests {
             )
             .unwrap();
         (shared, link, meta, clock)
+    }
+
+    #[test]
+    fn dictionary_draws_the_packets_generate_draws() {
+        let commands = CommandCode::ALL.to_vec();
+        let channel = ChannelContext::closed(btcore::Psm::SDP);
+        let expected = CoreFieldMutator::new(FuzzRng::seed_from(7)).generate(
+            &commands,
+            3,
+            &channel,
+            StateGuide::new().next_identifier(),
+        );
+        let mut dictionary = Dictionary {
+            per_command: 3,
+            ..Dictionary::default()
+        };
+        let (mut guide, mut mutator) = (
+            StateGuide::new(),
+            CoreFieldMutator::new(FuzzRng::seed_from(7)),
+        );
+        let mut at = Parked {
+            state: ChannelState::Closed,
+            link: LinkType::BrEdr,
+            channel,
+            commands: &commands,
+            guide: &mut guide,
+            mutator: &mut mutator,
+        };
+        dictionary.enter(&mut at);
+        let drawn: Vec<SignalingPacket> = (0..expected.len() as u64)
+            .map(|index| dictionary.packet(&mut at, index))
+            .collect();
+        assert_eq!(drawn, expected);
     }
 
     #[test]

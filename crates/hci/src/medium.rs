@@ -16,8 +16,10 @@
 //! a deterministic seed for its random decisions (the faults of its link's
 //! [`FaultPlan`]).  A campaign's packet streams are therefore a pure
 //! function of its seed at any initiator count — and a single-link medium
-//! degenerates to the synchronous behaviour: one uncontended lock per
-//! exchange and no extra clock charges.
+//! degenerates to the synchronous behaviour.  There an exchange passes the
+//! turnstile without a locked instruction, takes the device lock and one
+//! lock per tap, and charges the link clock at most twice: once before the
+//! device runs and once for the replies' way back.
 
 use btcore::{
     splitmix64, BdAddr, BtError, ConnectionError, ConnectionHandle, DeviceMeta, EventScheduler,
@@ -383,13 +385,26 @@ impl LinkHandle {
         retire_once(&self.retired, &self.core, self.source, &self.clock);
     }
 
-    fn record(&self, direction: Direction, frame: &L2capFrame) {
+    /// Reports a completed exchange to every tap, under one lock per tap:
+    /// the frame as it left at `sent_micros`, then the replies, the `k`-th
+    /// (from 1) arriving `k` link latencies after `delivered_micros`.
+    fn record(&self, frame: &L2capFrame, sent_micros: u64, delivered_micros: u64) {
         for tap in &self.taps {
-            tap.lock().push(PacketRecord {
-                direction,
-                timestamp_micros: self.clock.now_micros(),
+            let mut records = tap.lock();
+            records.push(PacketRecord {
+                direction: Direction::Tx,
+                timestamp_micros: sent_micros,
                 frame: frame.clone(),
             });
+            let mut arrived_micros = delivered_micros;
+            for rsp in &self.replies {
+                arrived_micros += self.config.latency_micros;
+                records.push(PacketRecord {
+                    direction: Direction::Rx,
+                    timestamp_micros: arrived_micros,
+                    frame: rsp.clone(),
+                });
+            }
         }
     }
 
@@ -407,7 +422,9 @@ impl LinkHandle {
     /// applying the link's [`FaultPlan`]) and reassembled on the device
     /// side; responses travel the same way back.  Every frame crossing the
     /// link is reported to the attached taps, including frames the fault
-    /// plan subsequently drops.
+    /// plan subsequently drops.  The taps see an exchange when it
+    /// completes: the frame and its replies in one batch per tap, each
+    /// stamped with the virtual time it crossed the air.
     ///
     /// # Panics
     /// Panics if the link has been retired.
@@ -416,53 +433,53 @@ impl LinkHandle {
             !self.retired.load(Ordering::Acquire),
             "retired link must not send frames"
         );
+        let start = self.clock.now_micros();
         if let Some(deadline) = self.deadline_micros {
-            let now = self.clock.now_micros();
-            if now > deadline {
+            if start > deadline {
                 // Fired before the turnstile: no ticket or lock is held, so
                 // the unwind leaves the medium consistent (the RetireGuard
                 // and the handle's Drop retire the source).
                 std::panic::panic_any(WatchdogExpired {
                     deadline_micros: deadline,
-                    now_micros: now,
+                    now_micros: start,
                 });
             }
         }
-        let ticket = self
-            .core
-            .scheduler
-            .begin_event(self.source, self.clock.now_micros());
-
-        self.clock.advance_micros(self.config.tx_overhead_micros);
-        self.record(Direction::Tx, frame);
+        let ticket = self.core.scheduler.begin_event(self.source, start);
         self.frames_sent += 1;
 
+        // The transmit overhead, then one link latency per ACL fragment.
         let fragment_count = frame.wire_len().div_ceil(acl::ACL_FRAGMENT_SIZE).max(1);
-        self.clock
-            .advance_micros(self.config.latency_micros * fragment_count as u64);
-
+        let in_flight =
+            self.config.tx_overhead_micros + self.config.latency_micros * fragment_count as u64;
         self.replies.clear();
         let faults = self.config.faults;
         if faults.is_none() {
-            self.deliver(frame, fragment_count);
+            self.deliver(frame, fragment_count, in_flight);
         } else {
+            self.clock.advance_micros(in_flight);
             self.deliver_with_faults(frame, &faults, ticket.seed);
         }
 
-        for rsp in &self.replies {
-            self.clock.advance_micros(self.config.latency_micros);
-            self.record(Direction::Rx, rsp);
+        // The replies travel back one after another, a link latency each.
+        let delivered = self.clock.now_micros();
+        let replies = self.replies.len() as u64;
+        let way_back = self.config.latency_micros * replies;
+        if way_back > 0 {
+            self.clock.advance_micros(way_back);
         }
-        self.frames_received += self.replies.len() as u64;
+        self.frames_received += replies;
+        self.record(frame, start + self.config.tx_overhead_micros, delivered);
 
-        let end = self.clock.now_micros();
+        let end = delivered + way_back;
         self.core.clock.advance_to(end);
         self.core.scheduler.end_event(self.source, end, &ticket);
         &self.replies
     }
 
     /// Runs one exchange through the link's [`FaultPlan`], appending the
-    /// replies to the link's reply buffer.
+    /// replies to the link's reply buffer.  The frame's time in flight is
+    /// already charged.
     ///
     /// Decisions draw from a per-event RNG seeded from the scheduler ticket
     /// in a fixed order — jitter, stall, loss, corruption, reorder,
@@ -503,19 +520,26 @@ impl LinkHandle {
         }
         // Frames reaching the target this exchange, in arrival order: the
         // current frame first, then a previously held one — the older frame
-        // arrives late, which is exactly depth-1 reordering.
+        // arrives late, which is exactly depth-1 reordering.  Each delivery,
+        // a duplicate included, costs the device its processing time.
         for arrived in [current, previously_held].into_iter().flatten() {
             let fragments = arrived.wire_len().div_ceil(acl::ACL_FRAGMENT_SIZE).max(1);
-            self.deliver(&arrived, fragments);
+            self.deliver(&arrived, fragments, 0);
             if faults.duplicate > 0.0 && rng.chance(faults.duplicate) {
-                self.deliver(&arrived, fragments);
+                self.deliver(&arrived, fragments, 0);
             }
         }
     }
 
     /// Carries one frame to the device and appends its replies to the
     /// link's reply buffer.
-    fn deliver(&mut self, frame: &L2capFrame, fragment_count: usize) {
+    ///
+    /// `in_flight_micros` is what the exchange has not yet charged of the
+    /// frame's way to the device.  It is charged together with the device's
+    /// processing cost, in one clock charge made before the device runs,
+    /// so a device that reads the clock (a firing vulnerability stamps its
+    /// record) sees the frame arrived and processed.
+    fn deliver(&mut self, frame: &L2capFrame, fragment_count: usize, in_flight_micros: u64) {
         // A single fragment crosses the air byte-for-byte, so re-parsing its
         // serialized form is the identity: the device is handed a borrowed
         // view of the original frame and no byte is serialized or copied.
@@ -533,12 +557,17 @@ impl LinkHandle {
                     reassembled = f;
                     &reassembled
                 }
-                Err(_) => return,
+                Err(_) => {
+                    // Lost in reassembly, after crossing the air.
+                    self.clock.advance_micros(in_flight_micros);
+                    return;
+                }
             }
         };
 
         let mut dev = self.device.lock();
-        self.clock.advance_micros(dev.processing_cost_micros());
+        self.clock
+            .advance_micros(in_flight_micros + dev.processing_cost_micros());
         if dev.bluetooth_alive() {
             dev.receive_into(self.slot, delivered_frame, &mut self.replies);
         }
