@@ -14,6 +14,7 @@ use l2fuzz_repro::btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz_repro::l2fuzz::campaign::Campaign;
 use l2fuzz_repro::l2fuzz::{FuzzConfig, Fuzzer, L2FuzzTool, TxBudget};
 use l2fuzz_repro::service::digest::trace_digest;
+use l2fuzz_repro::sniffer::TraceAnalysis;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -35,9 +36,18 @@ const PINNED_TRACES: [(ProfileId, u64); 3] = [
     (ProfileId::D10, 0x9992_359c_02b4_5113),
 ];
 
+/// The sniffer's verdicts on each pinned trace, in `PINNED_TRACES` order:
+/// (transmitted, malformed, received, rejections) and the covered-state
+/// signature, read on the target's own link type.
+const PINNED_ANALYSES: [((usize, usize, usize, usize), u32); 3] = [
+    ((5019, 3369, 3529, 1213), 0x6e3eb),
+    ((5020, 2462, 2572, 27), 0x6e3eb),
+    ((5010, 3118, 3227, 959), 0x06023),
+];
+
 #[test]
 fn budget_campaigns_allocate_at_most_three_times_per_packet_and_replay_their_traces() {
-    for (target, pinned) in PINNED_TRACES {
+    for ((target, pinned), (counts, signature)) in PINNED_TRACES.into_iter().zip(PINNED_ANALYSES) {
         let before = allocations();
         let outcome = Campaign::builder()
             .target(DeviceProfile::table5(target))
@@ -49,6 +59,20 @@ fn budget_campaigns_allocate_at_most_three_times_per_packet_and_replay_their_tra
             .expect("campaign runs")
             .into_single();
         let allocs = allocations() - before;
+
+        let analysis = TraceAnalysis::from_trace_on(&outcome.trace, outcome.profile.link_type);
+        let m = &analysis.metrics;
+        assert_eq!(
+            (m.transmitted, m.malformed, m.received, m.rejections),
+            counts,
+            "{target}: sniffer counts"
+        );
+        assert_eq!(
+            analysis.coverage.signature(),
+            signature,
+            "{target}: coverage signature {:#07x}",
+            analysis.coverage.signature()
+        );
 
         let digest = trace_digest(&outcome.trace);
         assert_eq!(

@@ -34,4 +34,29 @@ fn comparison_ordering_matches_table7_and_fig10() {
     assert_eq!(defensics.coverage.count(), 7);
     assert_eq!(bfuzz.coverage.count(), 6);
     assert_eq!(bss.coverage.count(), 3);
+
+    // The sniffer's exact verdicts on these traces: transmitted, malformed,
+    // received and rejected packets, and the covered-state signature.  A
+    // change to how the trace analysis reads C-frames must not move them.
+    let pinned = [
+        ("L2Fuzz", (3019, 2032, 2132, 741), 0x6e3eb),
+        ("Defensics", (3000, 30, 3000, 30), 0x062a3),
+        ("BFuzz", (3001, 239, 3032, 2908), 0x042a3),
+        ("BSS", (3000, 0, 3000, 0), 0x00023),
+    ];
+    for (name, counts, signature) in pinned {
+        let run = &by_name[name];
+        let m = &run.metrics;
+        assert_eq!(
+            (m.transmitted, m.malformed, m.received, m.rejections),
+            counts,
+            "{name}: sniffer counts"
+        );
+        assert_eq!(
+            run.coverage.signature(),
+            signature,
+            "{name}: coverage signature {:#07x}",
+            run.coverage.signature()
+        );
+    }
 }
