@@ -77,11 +77,13 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader over `data`, positioned at the start.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         ByteReader { data, pos: 0 }
     }
 
     /// Number of bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -96,6 +98,7 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEnd {
@@ -112,6 +115,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if no bytes remain.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
@@ -120,6 +124,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than two bytes remain.
+    #[inline]
     pub fn read_u16(&mut self) -> Result<u16, CodecError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
@@ -129,6 +134,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than four bytes remain.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -139,11 +145,13 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than `n` bytes remain.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.take(n)
     }
 
     /// Consumes and returns all remaining bytes.
+    #[inline]
     pub fn read_rest(&mut self) -> &'a [u8] {
         let rest = &self.data[self.pos..];
         self.pos = self.data.len();
@@ -151,6 +159,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Peeks at the next byte without consuming it, if any.
+    #[inline]
     pub fn peek_u8(&self) -> Option<u8> {
         self.data.get(self.pos).copied()
     }

@@ -2,9 +2,8 @@
 //!
 //! A [`FrameBuf`] of up to [`FrameBuf::INLINE_CAPACITY`] bytes keeps its
 //! bytes inside the value.  Signalling frames are that small, so cloning a
-//! frame into a tap record, slicing a C-frame out of it, or parsing it on
-//! the device or in the sniffer copies a few dozen bytes and touches
-//! neither the heap nor an atomic.  Larger frames (MTU tests, multi-fragment
+//! frame into a tap record or slicing a C-frame out of it copies a few
+//! dozen bytes and touches neither the heap nor an atomic.  Larger frames (MTU tests, multi-fragment
 //! ACL) live in one `Arc<[u8]>`: their clones and slices share the bytes by
 //! reference count, a minimal, dependency-free equivalent of `bytes::Bytes`.
 //!
@@ -87,6 +86,7 @@ impl FrameBuf {
 
     /// Copies a byte slice: inline when it fits, otherwise into one fresh
     /// shared allocation.
+    #[inline]
     pub fn copy_from_slice(bytes: &[u8]) -> FrameBuf {
         let len = bytes.len();
         let repr = if len <= FrameBuf::INLINE_CAPACITY {
@@ -126,6 +126,7 @@ impl FrameBuf {
     }
 
     /// The bytes this view exposes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Inline { start, end, bytes } => &bytes[usize::from(*start)..usize::from(*end)],
@@ -134,12 +135,14 @@ impl FrameBuf {
     }
 
     /// Number of bytes in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         let (start, end) = self.window();
         end - start
     }
 
     /// Returns `true` when the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -150,6 +153,7 @@ impl FrameBuf {
     /// # Panics
     /// Panics if the range is out of bounds or inverted, matching slice
     /// indexing semantics.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> FrameBuf {
         let len = self.len();
         let start = match range.start_bound() {
@@ -187,6 +191,7 @@ impl FrameBuf {
     /// The extra bytes are whatever precedes the view in its buffer —
     /// meaningful only when the caller knows how the buffer was built (e.g. a
     /// packet body sliced out of a frame recovering the frame's header).
+    #[inline]
     pub fn widen_front(&self, n: usize) -> Option<FrameBuf> {
         let (start, end) = self.window();
         start
@@ -195,6 +200,7 @@ impl FrameBuf {
     }
 
     /// The exposed window, as offsets into the held bytes.
+    #[inline]
     fn window(&self) -> (usize, usize) {
         match self.repr {
             Repr::Inline { start, end, .. } => (usize::from(start), usize::from(end)),
@@ -203,6 +209,7 @@ impl FrameBuf {
     }
 
     /// The same held bytes behind another window (within their bounds).
+    #[inline]
     fn with_window(&self, start: usize, end: usize) -> FrameBuf {
         let repr = match &self.repr {
             Repr::Inline { bytes, .. } => Repr::Inline {
@@ -228,12 +235,14 @@ impl Default for FrameBuf {
 
 impl Deref for FrameBuf {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for FrameBuf {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -264,6 +273,7 @@ impl<const N: usize> From<[u8; N]> for FrameBuf {
 }
 
 impl PartialEq for FrameBuf {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -272,30 +282,35 @@ impl PartialEq for FrameBuf {
 impl Eq for FrameBuf {}
 
 impl PartialEq<[u8]> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 impl PartialEq<FrameBuf> for Vec<u8> {
+    #[inline]
     fn eq(&self, other: &FrameBuf) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 impl<const N: usize> PartialEq<[u8; N]> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &[u8; N]) -> bool {
         self.as_slice() == other
     }

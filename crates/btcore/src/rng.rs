@@ -58,16 +58,19 @@ impl FuzzRng {
     }
 
     /// Returns a uniformly random `u8`.
+    #[inline]
     pub fn next_u8(&mut self) -> u8 {
         self.inner.gen()
     }
 
     /// Returns a uniformly random `u16`.
+    #[inline]
     pub fn next_u16(&mut self) -> u16 {
         self.inner.gen()
     }
 
     /// Returns a uniformly random `u32`.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         self.inner.gen()
     }
@@ -76,6 +79,7 @@ impl FuzzRng {
     ///
     /// # Panics
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn range_u16(&mut self, lo: u16, hi: u16) -> u16 {
         assert!(lo <= hi, "range_u16 requires lo <= hi");
         self.inner.gen_range(lo..=hi)
@@ -85,12 +89,14 @@ impl FuzzRng {
     ///
     /// # Panics
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi, "range_usize requires lo <= hi");
         self.inner.gen_range(lo..=hi)
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.inner.gen_bool(p)
@@ -107,6 +113,7 @@ impl FuzzRng {
     }
 
     /// Fills `buf` with random bytes.
+    #[inline]
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         self.inner.fill_bytes(buf);
     }

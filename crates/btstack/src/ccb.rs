@@ -47,6 +47,8 @@ impl ChannelControlBlock {
 pub struct CcbTable {
     channels: Vec<ChannelControlBlock>,
     next_cid: u16,
+    /// The visited-state masks of every released channel, ORed together.
+    released_visited_mask: u32,
 }
 
 impl CcbTable {
@@ -55,6 +57,7 @@ impl CcbTable {
         CcbTable {
             channels: Vec::new(),
             next_cid: Cid::DYNAMIC_START.value(),
+            released_visited_mask: 0,
         }
     }
 
@@ -99,11 +102,28 @@ impl CcbTable {
     }
 
     /// Releases the channel with the given local CID; returns `true` if it
-    /// existed.
+    /// existed.  The table keeps the states the channel visited.
     pub fn release_by_local(&mut self, local_cid: Cid) -> bool {
         let before = self.channels.len();
-        self.channels.retain(|c| c.local_cid != local_cid);
+        let released = &mut self.released_visited_mask;
+        self.channels.retain(|c| {
+            let keep = c.local_cid != local_cid;
+            if !keep {
+                *released |= c.machine.visited_mask();
+            }
+            keep
+        });
         self.channels.len() != before
+    }
+
+    /// The states visited by every channel this table ever held, released
+    /// ones included, as a [`StateMachine::visited_mask`].
+    pub(crate) fn visited_mask(&self) -> u32 {
+        self.channels
+            .iter()
+            .fold(self.released_visited_mask, |mask, c| {
+                mask | c.machine.visited_mask()
+            })
     }
 
     /// Looks up a channel by the CID we allocated (the DCID the initiator

@@ -7,7 +7,7 @@
 //! soften those rules on real stacks, and evaluates the device's seeded
 //! [`VulnerabilitySpec`]s against every processed packet.
 
-use btcore::{Cid, FuzzRng, Identifier, LinkType, Psm};
+use btcore::{Cid, FrameBuf, FuzzRng, Identifier, LinkType, Psm};
 use l2cap::code::CommandCode;
 use l2cap::command::{
     Command, CommandReject, ConfigureRequest, ConfigureResponse, ConnectionParameterUpdateResponse,
@@ -20,7 +20,7 @@ use l2cap::consts::{ConfigureResult, ConnectionResult, MoveResult, RejectReason}
 use l2cap::fields;
 use l2cap::jobs::{job_of, Job};
 use l2cap::options::ConfigOption;
-use l2cap::packet::{L2capFrame, SignalingPacket, DEFAULT_SIGNALING_MTU};
+use l2cap::packet::{L2capFrame, SignalingView, DEFAULT_SIGNALING_MTU};
 use l2cap::state::{Action, ChannelState};
 
 use std::sync::Arc;
@@ -114,19 +114,16 @@ impl L2capEndpoint {
         self.ccbs.len()
     }
 
-    /// States visited by every channel of this endpoint so far (useful for
-    /// white-box assertions in tests; the black-box experiments use the
-    /// sniffer instead).
+    /// States visited by every channel of this endpoint so far, freed
+    /// channels included, in [`ChannelState::ALL`] order; `Closed` is always
+    /// among them.  Useful for white-box assertions in tests; the black-box
+    /// experiments use the sniffer instead.
     pub fn visited_states(&self) -> Vec<ChannelState> {
-        let mut out: Vec<ChannelState> = vec![ChannelState::Closed];
-        for ccb in self.ccbs.iter() {
-            for s in ccb.machine.visited() {
-                if !out.contains(s) {
-                    out.push(*s);
-                }
-            }
-        }
-        out
+        let mask = self.ccbs.visited_mask() | (1 << ChannelState::Closed.index());
+        ChannelState::ALL
+            .into_iter()
+            .filter(|s| mask & (1 << s.index()) != 0)
+            .collect()
     }
 
     fn next_id(&mut self) -> Identifier {
@@ -167,7 +164,7 @@ impl L2capEndpoint {
             // services simply consume it.
             return None;
         }
-        let packet = SignalingPacket::parse_buf(&frame.payload).ok()?;
+        let packet = SignalingView::parse(&frame.payload).ok()?;
         self.packets_processed += 1;
 
         // Signalling MTU check: oversized C-frames are rejected outright.
@@ -189,12 +186,12 @@ impl L2capEndpoint {
             return None;
         }
 
-        self.handle_signaling(&packet, out)
+        self.handle_signaling(packet, out)
     }
 
     fn handle_signaling(
         &mut self,
-        packet: &SignalingPacket,
+        packet: SignalingView<'_>,
         out: &mut Vec<L2capFrame>,
     ) -> Option<VulnerabilitySpec> {
         // Undefined command codes, and commands belonging to the other
@@ -214,7 +211,7 @@ impl L2capEndpoint {
         };
 
         // Determine the channel (and thus state/job) this packet lands in.
-        let core = fields::extract_core_values(code, &packet.data);
+        let core = fields::extract_core_values(code, packet.data);
         let (channel_cid, cidp_matches) = self.resolve_channel(code, &core.cidp);
         let (state, job) = match channel_cid {
             Some(cid) => {
@@ -231,7 +228,7 @@ impl L2capEndpoint {
         // Vulnerability evaluation happens "inside" packet processing: a
         // packet that reaches a defective path takes the stack down before a
         // response is produced.
-        let le = fields::extract_le_values(code, &packet.data);
+        let le = fields::extract_le_values(code, packet.data);
         let rfc_option = match code {
             CommandCode::ConfigureRequest if packet.data.len() >= 4 => {
                 ConfigOption::scan_rfc_option(&packet.data[4..])
@@ -264,24 +261,24 @@ impl L2capEndpoint {
         // materialized: `structurally_valid` holds exactly when `decode_opt`
         // returns a command.
         if self.reads_fields(code) {
-            match Command::decode_opt(packet.code, &packet.data) {
+            match Command::decode_opt(packet.code, packet.data) {
                 Some(command) => self.dispatch(packet.identifier, command, out),
                 None => self.malformed(packet.identifier, out),
             }
-        } else if !Command::structurally_valid(packet.code, &packet.data) {
+        } else if !Command::structurally_valid(packet.code, packet.data) {
             self.malformed(packet.identifier, out);
         } else if code == CommandCode::EchoRequest {
             if self.quirks.supports_echo {
                 // The response carries the request's own data bytes (garbage
-                // included), framed without decoding them.
-                out.push(
-                    SignalingPacket::from_raw(
-                        packet.identifier,
-                        CommandCode::EchoResponse.value(),
-                        packet.data.clone(),
-                    )
-                    .to_frame(),
-                );
+                // included), framed in one pass without decoding them.  The
+                // MTU check above bounds the data length.
+                let c_frame = FrameBuf::build(|buf| {
+                    buf.push(CommandCode::EchoResponse.value());
+                    buf.push(packet.identifier.value());
+                    buf.extend_from_slice(&(packet.data.len() as u16).to_le_bytes());
+                    buf.extend_from_slice(packet.data);
+                });
+                out.push(L2capFrame::new(Cid::SIGNALING, c_frame));
             }
         } else {
             self.handle_channel_command(packet, code, channel_cid, out);
@@ -667,7 +664,7 @@ impl L2capEndpoint {
 
     fn handle_channel_command(
         &mut self,
-        packet: &SignalingPacket,
+        packet: SignalingView<'_>,
         code: CommandCode,
         channel_cid: Option<Cid>,
         out: &mut Vec<L2capFrame>,
@@ -800,7 +797,7 @@ mod tests {
     use l2cap::command::{
         ConnectionRequest, DisconnectionRequest, EchoRequest, InformationRequest,
     };
-    use l2cap::packet::signaling_frame;
+    use l2cap::packet::{signaling_frame, SignalingPacket};
 
     fn endpoint(stack: VendorStack, services: ServiceTable) -> L2capEndpoint {
         L2capEndpoint::new(
@@ -959,6 +956,24 @@ mod tests {
             out,
             vec![signaling_frame(Identifier(4), &Command::EchoResponse(echo))]
         );
+
+        // Empty data; 49 bytes, the largest C-frame kept inline; and 50 and
+        // 600 bytes, which take the shared representation (600 stays under
+        // the signalling MTU).
+        for len in [0, 49, 50, 600] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+            let request = SignalingPacket::from_raw(Identifier(5), 0x08, data.clone());
+            let out = ep.replies(&request.into_frame());
+            let echo = l2cap::command::EchoResponse { data };
+            assert_eq!(
+                out,
+                vec![signaling_frame(Identifier(5), &Command::EchoResponse(echo))],
+                "{len} data bytes"
+            );
+            // Only a shared buffer's clone shares its storage.
+            let reply = &out[0].payload;
+            assert_eq!(reply.shares_storage_with(&reply.clone()), len > 49);
+        }
     }
 
     #[test]
@@ -1004,6 +1019,8 @@ mod tests {
             Command::DisconnectionResponse(_)
         ));
         assert_eq!(ep.open_channels(), 0);
+        // The freed channel's states are still counted.
+        assert!(ep.visited_states().contains(&ChannelState::Open));
     }
 
     #[test]

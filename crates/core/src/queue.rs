@@ -8,13 +8,14 @@
 //!
 //! The outcome borrows the link's reply buffer instead of copying the
 //! answers out, and [`send`] classifies them from their code bytes and
-//! structure without decoding a command, so a warmed-up exchange makes no
-//! heap allocation.  Read an outcome before the link's next exchange.
+//! structure, read in place, without decoding a command, so a warmed-up
+//! exchange makes no heap allocation.  Read an outcome before the link's
+//! next exchange.
 
 use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
-use l2cap::packet::{parse_signaling, L2capFrame, SignalingPacket};
+use l2cap::packet::{parse_signaling, L2capFrame, SignalingPacket, SignalingView};
 
 /// What happened when a test packet was transmitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,9 +30,10 @@ pub struct SendOutcome<'a> {
 }
 
 impl<'a> SendOutcome<'a> {
-    /// The answers that parse as C-frames, in order.  Each packet's data is
-    /// a view into its frame.
-    pub fn signaling(&self) -> impl Iterator<Item = SignalingPacket> + 'a {
+    /// The answers that parse as C-frames, in order, each read in place:
+    /// a view's data borrows its frame's payload in the link's reply
+    /// buffer, with no copy.
+    pub fn signaling(&self) -> impl Iterator<Item = SignalingView<'a>> + 'a {
         let responses = self.responses;
         responses.iter().filter_map(|f| parse_signaling(f).ok())
     }
@@ -52,7 +54,7 @@ pub fn send<'a>(link: &'a mut LinkHandle, packet: &SignalingPacket) -> SendOutco
     for reply in outcome.signaling() {
         outcome.silent = false;
         outcome.rejected |= reply.code == CommandCode::CommandReject.value()
-            && Command::structurally_valid(reply.code, &reply.data);
+            && Command::structurally_valid(reply.code, reply.data);
     }
     outcome
 }

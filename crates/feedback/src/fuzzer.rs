@@ -234,12 +234,12 @@ impl Strategy for Feedback {
 
     fn learn(&mut self, at: &Parked<'_>, packet: &SignalingPacket, outcome: &SendOutcome<'_>) {
         self.coverage.saw_tx_signaling();
-        self.coverage.observe(Direction::Tx, packet);
-        // Each answer is parsed once, for coverage and for its class.
+        self.coverage.observe(Direction::Tx, packet.view());
+        // Each answer is read once, in place, for coverage and for its class.
         let mut refused = false;
         for reply in outcome.signaling() {
-            self.coverage.observe(Direction::Rx, &reply);
-            refused |= is_rejection_signaling(&reply);
+            self.coverage.observe(Direction::Rx, reply);
+            refused |= is_rejection_signaling(reply);
         }
         let key = NoveltyKey {
             signature: self.coverage.signature_snapshot(),

@@ -122,6 +122,7 @@ impl CommandCode {
     /// indexed load into a 256-entry constant table rather than a scan over
     /// the 26 variants; `tests` assert the table agrees with the scan for
     /// every possible byte.
+    #[inline]
     pub fn from_u8(v: u8) -> Option<CommandCode> {
         const LUT: [Option<CommandCode>; 256] = {
             let mut table = [None; 256];

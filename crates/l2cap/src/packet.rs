@@ -5,12 +5,20 @@
 //! (CID `0x0001`) the payload is a C-frame carrying `CODE`, `ID`,
 //! `DATA LEN` and the command's data fields.
 //!
-//! Both [`L2capFrame`] and [`SignalingPacket`] keep the *declared* length
-//! fields separate from the bytes actually carried.  This matters for a
-//! fuzzer: the paper's mutation example (Fig. 7) appends garbage to the tail
-//! of a Configure Request without touching the dependent length fields, so a
-//! malformed packet routinely declares less data than it carries.  The codec
-//! must be able to represent, emit and re-parse such packets byte-exactly.
+//! [`L2capFrame`], [`SignalingPacket`] and [`SignalingView`] keep the
+//! *declared* length fields separate from the bytes actually carried.  This
+//! matters for a fuzzer: the paper's mutation example (Fig. 7) appends
+//! garbage to the tail of a Configure Request without touching the dependent
+//! length fields, so a malformed packet routinely declares less data than it
+//! carries.  The codec must be able to represent, emit and re-parse such
+//! packets byte-exactly.
+//!
+//! A [`SignalingPacket`] owns its data and is what the fuzzers build and
+//! transmit.  Every reader of received or captured signalling bytes — the
+//! simulated acceptor, reply classification, the sniffer — gets a
+//! [`SignalingView`] from [`parse_signaling`] instead: the C-frame read in
+//! place, its data a borrow of the frame's payload, so reading a record
+//! copies no bytes.
 
 use btcore::{ByteReader, Cid, CodecError, FrameBuf, Identifier};
 use serde::{Deserialize, Serialize};
@@ -47,6 +55,7 @@ pub struct L2capFrame {
 
 impl L2capFrame {
     /// Builds a well-formed frame whose declared length matches the payload.
+    #[inline]
     pub fn new(cid: Cid, payload: impl Into<FrameBuf>) -> Self {
         let payload = payload.into();
         L2capFrame {
@@ -58,6 +67,7 @@ impl L2capFrame {
 
     /// Returns `true` if the declared payload length matches the bytes
     /// actually carried.
+    #[inline]
     pub fn is_length_consistent(&self) -> bool {
         usize::from(self.declared_payload_len) == self.payload.len()
     }
@@ -119,6 +129,7 @@ impl L2capFrame {
     }
 
     /// Total number of bytes this frame occupies on the air.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         4 + self.payload.len()
     }
@@ -128,9 +139,9 @@ impl L2capFrame {
 /// length and the data-field bytes actually carried.
 ///
 /// Like [`L2capFrame::payload`], the data field is a [`FrameBuf`], so cloning
-/// a packet — e.g. into a queue outcome — never allocates, and
-/// [`SignalingPacket::parse_buf`] takes the data as a view into the parsed
-/// frame.
+/// a packet never allocates.  Readers of received bytes use the borrowing
+/// [`SignalingView`] instead; [`SignalingPacket::view`] reads an owned packet
+/// the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalingPacket {
     /// The packet identifier matching responses to requests.
@@ -167,33 +178,34 @@ impl SignalingPacket {
         }
     }
 
-    /// Decodes the typed command carried by this packet (never fails; see
-    /// [`Command::decode`]).
+    /// This packet read as a [`SignalingView`] of its own data.
+    #[inline]
+    pub fn view(&self) -> SignalingView<'_> {
+        SignalingView {
+            identifier: self.identifier,
+            code: self.code,
+            declared_data_len: self.declared_data_len,
+            data: &self.data,
+        }
+    }
+
+    /// Decodes the typed command carried by this packet (see
+    /// [`SignalingView::command`]).
     pub fn command(&self) -> Command {
-        Command::decode(self.code, &self.data)
+        self.view().command()
     }
 
     /// Returns `true` if the declared data length matches the data actually
     /// carried.
+    #[inline]
     pub fn is_length_consistent(&self) -> bool {
-        usize::from(self.declared_data_len) == self.data.len()
+        self.view().is_length_consistent()
     }
 
-    /// Estimates the number of garbage bytes appended to this packet: bytes
-    /// beyond the command's defined fixed-size fields, or bytes beyond the
-    /// declared data length, whichever detects more.  This mirrors how a
-    /// receiving stack (and the trace analysis) recognises L2Fuzz's
-    /// garbage-appending mutation, including on commands such as Configure
-    /// Request whose last field is variable-length.
+    /// The number of garbage bytes appended to this packet (see
+    /// [`SignalingView::garbage_len`]).
     pub fn garbage_len(&self) -> usize {
-        let structural = crate::code::CommandCode::from_u8(self.code)
-            .map(|code| crate::fields::garbage_len(code, &self.data))
-            .unwrap_or(0);
-        let beyond_declared = self
-            .data
-            .len()
-            .saturating_sub(usize::from(self.declared_data_len));
-        structural.max(beyond_declared)
+        self.view().garbage_len()
     }
 
     /// Serializes the C-frame: code, identifier, declared length, data bytes.
@@ -214,48 +226,21 @@ impl SignalingPacket {
         out.extend_from_slice(&self.data);
     }
 
-    /// Parses a C-frame from raw bytes; the data field is everything after
-    /// the 4-byte command header, regardless of the declared length.
-    ///
-    /// The data bytes are copied; when the input already lives in a
-    /// [`FrameBuf`], prefer [`SignalingPacket::parse_buf`], which borrows
-    /// them.
+    /// Parses a C-frame from raw bytes into an owned packet: the data field
+    /// is a copy of everything after the 4-byte command header, regardless
+    /// of the declared length.  [`SignalingView::parse`] reads the same
+    /// fields without copying.
     ///
     /// # Errors
     /// Returns [`CodecError::UnexpectedEnd`] if fewer than four header bytes
     /// are present.
     pub fn parse(bytes: &[u8]) -> Result<SignalingPacket, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let code = r.read_u8()?;
-        let identifier = Identifier(r.read_u8()?);
-        let declared_data_len = r.read_u16()?;
-        let data = FrameBuf::copy_from_slice(r.read_rest());
+        let view = SignalingView::parse(bytes)?;
         Ok(SignalingPacket {
-            identifier,
-            code,
-            declared_data_len,
-            data,
-        })
-    }
-
-    /// View variant of [`SignalingPacket::parse`]: the returned packet's
-    /// data field is a slice of `bytes`, so re-framing it can widen the view
-    /// back to the whole C-frame.  The two parse paths are byte-for-byte
-    /// equivalent on every input.
-    ///
-    /// # Errors
-    /// Returns [`CodecError::UnexpectedEnd`] if fewer than four header bytes
-    /// are present.
-    pub fn parse_buf(bytes: &FrameBuf) -> Result<SignalingPacket, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let code = r.read_u8()?;
-        let identifier = Identifier(r.read_u8()?);
-        let declared_data_len = r.read_u16()?;
-        Ok(SignalingPacket {
-            identifier,
-            code,
-            declared_data_len,
-            data: bytes.slice(4..),
+            identifier: view.identifier,
+            code: view.code,
+            declared_data_len: view.declared_data_len,
+            data: FrameBuf::copy_from_slice(view.data),
         })
     }
 
@@ -269,10 +254,9 @@ impl SignalingPacket {
     /// preceding bytes are exactly the C-frame header the current field
     /// values encode to, returns that whole buffer: re-framing is then a
     /// widening of the data view, with no encoding.  This holds for every
-    /// packet produced by [`SignalingPacket::new`],
-    /// [`SignalingPacket::parse_buf`] / [`parse_signaling`] and for mutator
-    /// output, unless a field was modified afterwards (the header comparison
-    /// catches that and the caller falls back to encoding).
+    /// packet produced by [`SignalingPacket::new`] and for mutator output,
+    /// unless a field was modified afterwards (the header comparison catches
+    /// that and the caller falls back to encoding).
     fn cached_wire(&self) -> Option<FrameBuf> {
         let whole = self.data.widen_front(4)?;
         let header = &whole[..4];
@@ -284,7 +268,7 @@ impl SignalingPacket {
 
     /// Borrowing variant of [`SignalingPacket::into_frame`]: builds the frame
     /// without consuming the packet, and without encoding it again when the
-    /// packet still carries its wire form (see [`SignalingPacket::parse_buf`]).
+    /// packet still carries its wire form (see [`SignalingPacket::new`]).
     /// This is the transmit hot path; it never allocates for a frame that
     /// fits inline.
     pub fn to_frame(&self) -> L2capFrame {
@@ -295,8 +279,86 @@ impl SignalingPacket {
     }
 
     /// Total number of bytes the C-frame occupies within the L2CAP payload.
+    #[inline]
     pub fn wire_len(&self) -> usize {
         4 + self.data.len()
+    }
+}
+
+/// A signalling C-frame read in place: the header fields of a
+/// [`SignalingPacket`], with the data field borrowed from the bytes it was
+/// parsed from.
+///
+/// Parsing a view copies nothing, so the per-packet readers — the simulated
+/// acceptor, reply classification and every sniffer pass — read each C-frame
+/// where it lies.  Like the owned packet, the view keeps the *declared* data
+/// length separate from the data actually carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignalingView<'a> {
+    /// The packet identifier matching responses to requests.
+    pub identifier: Identifier,
+    /// Raw command code byte.
+    pub code: u8,
+    /// The `DATA LEN` field as transmitted (may disagree with `data.len()`).
+    pub declared_data_len: u16,
+    /// Data-field bytes actually carried (including any appended garbage).
+    pub data: &'a [u8],
+}
+
+impl<'a> SignalingView<'a> {
+    /// Reads a C-frame in place; the data field is everything after the
+    /// 4-byte command header, regardless of the declared length.
+    ///
+    /// # Errors
+    /// Returns [`CodecError::UnexpectedEnd`] if fewer than four header bytes
+    /// are present.
+    #[inline]
+    pub fn parse(bytes: &'a [u8]) -> Result<SignalingView<'a>, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let code = r.read_u8()?;
+        let identifier = Identifier(r.read_u8()?);
+        let declared_data_len = r.read_u16()?;
+        Ok(SignalingView {
+            identifier,
+            code,
+            declared_data_len,
+            data: r.read_rest(),
+        })
+    }
+
+    /// Returns `true` if the declared data length matches the data actually
+    /// carried.
+    #[inline]
+    pub fn is_length_consistent(&self) -> bool {
+        usize::from(self.declared_data_len) == self.data.len()
+    }
+
+    /// Estimates the number of garbage bytes appended to this packet: bytes
+    /// beyond the command's defined fixed-size fields, or bytes beyond the
+    /// declared data length, whichever detects more.  This mirrors how a
+    /// receiving stack (and the trace analysis) recognises L2Fuzz's
+    /// garbage-appending mutation, including on commands such as Configure
+    /// Request whose last field is variable-length.
+    pub fn garbage_len(&self) -> usize {
+        let structural = crate::code::CommandCode::from_u8(self.code)
+            .map(|code| crate::fields::garbage_len(code, self.data))
+            .unwrap_or(0);
+        let beyond_declared = self
+            .data
+            .len()
+            .saturating_sub(usize::from(self.declared_data_len));
+        structural.max(beyond_declared)
+    }
+
+    /// Total number of bytes the C-frame occupies within the L2CAP payload.
+    pub fn wire_len(&self) -> usize {
+        4 + self.data.len()
+    }
+
+    /// Decodes the typed command carried by this packet (never fails; see
+    /// [`Command::decode`]).
+    pub fn command(&self) -> Command {
+        Command::decode(self.code, self.data)
     }
 }
 
@@ -319,21 +381,21 @@ fn encode_c_frame(identifier: Identifier, command: &Command) -> FrameBuf {
     })
 }
 
-/// Parses the signalling packet out of an L2CAP frame, if the frame is on the
-/// signalling channel.  The returned packet's data field is a slice of the
-/// frame's payload buffer.
+/// Reads the signalling packet of an L2CAP frame in place, if the frame is on
+/// the signalling channel.  The returned view's data field borrows the
+/// frame's payload: no byte is copied.
 ///
 /// # Errors
 /// Returns a [`CodecError`] if the frame is not on CID `0x0001` or its
 /// payload is shorter than a C-frame header.
-pub fn parse_signaling(frame: &L2capFrame) -> Result<SignalingPacket, CodecError> {
+pub fn parse_signaling(frame: &L2capFrame) -> Result<SignalingView<'_>, CodecError> {
     if !frame.cid.is_signaling() {
         return Err(CodecError::InvalidValue {
             field: "header_cid".to_owned(),
             value: u64::from(frame.cid.value()),
         });
     }
-    SignalingPacket::parse_buf(&frame.payload)
+    SignalingView::parse(&frame.payload)
 }
 
 #[cfg(test)]
@@ -412,7 +474,7 @@ mod tests {
         let back = L2capFrame::parse(&wire).unwrap();
         assert_eq!(back, frame);
         let sig = parse_signaling(&back).unwrap();
-        assert_eq!(sig, pkt);
+        assert_eq!(sig, pkt.view());
     }
 
     #[test]
@@ -490,12 +552,12 @@ mod tests {
             let owned = L2capFrame::parse(&wire).unwrap();
             let shared = L2capFrame::parse_buf(&wire).unwrap();
             assert_eq!(owned, shared);
-            // The signalling layer slices the frame payload in turn.
-            let sig = parse_signaling(&shared).unwrap();
-            assert_eq!(sig, pkt);
             let large = wire.len() > FrameBuf::INLINE_CAPACITY;
             assert_eq!(shared.payload.shares_storage_with(&wire), large);
-            assert_eq!(sig.data.shares_storage_with(&wire), large);
+            // The signalling layer reads the frame payload in place.
+            let sig = parse_signaling(&shared).unwrap();
+            assert_eq!(sig, pkt.view());
+            assert!(std::ptr::eq(sig.data, &shared.payload[4..]));
         }
     }
 

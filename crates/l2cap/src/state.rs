@@ -662,6 +662,11 @@ impl StateMachine {
         &self.visited
     }
 
+    /// The visited states as a mask, one bit per [`ChannelState::index`].
+    pub fn visited_mask(&self) -> u32 {
+        self.visited_mask
+    }
+
     fn visit(&mut self, state: ChannelState, out: &mut Vec<ChannelState>) {
         self.record_first_visit(state);
         out.push(state);

@@ -3,10 +3,13 @@
 //! The comparison experiments want both a [`MetricsSummary`] (Table VII) and
 //! a [`StateCoverage`] (Figs. 10–11) from the same capture.  Computing them
 //! separately parses every record's signalling payload twice;
-//! [`TraceAnalysis::from_trace`] walks the trace once, parses each record
-//! once, and feeds the parsed packet to both the malformed/rejection
-//! classifiers and the coverage replay.  The results are identical to the
-//! two-pass computations (`tests` below assert it).
+//! [`TraceAnalysis::from_trace`] walks the trace once, reads each record's
+//! C-frame once, in place (a [`SignalingView`] borrowing the record's
+//! payload, so no byte is copied), and feeds that view to both the
+//! malformed/rejection classifiers and the coverage replay.  The results
+//! are identical to the two-pass computations (`tests` below assert it).
+//!
+//! [`SignalingView`]: l2cap::packet::SignalingView
 
 use hci::link::Direction;
 use l2cap::packet::parse_signaling;
@@ -26,7 +29,7 @@ pub struct TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// Computes metrics and coverage in one pass, parsing each record once
+    /// Computes metrics and coverage in one pass, reading each record once
     /// (BR/EDR trace).
     pub fn from_trace(trace: &Trace) -> TraceAnalysis {
         TraceAnalysis::from_trace_on(trace, btcore::LinkType::BrEdr)
@@ -53,7 +56,7 @@ impl TraceAnalysis {
                     // parse.
                     let is_malformed = signaling
                         && (!frame.is_length_consistent()
-                            || match &parsed {
+                            || match parsed {
                                 Some(packet) => is_malformed_signaling_on(packet, link),
                                 None => true,
                             });
@@ -66,14 +69,14 @@ impl TraceAnalysis {
                 }
                 Direction::Rx => {
                     received += 1;
-                    if let Some(packet) = &parsed {
+                    if let Some(packet) = parsed {
                         if is_rejection_signaling(packet) {
                             rejections += 1;
                         }
                     }
                 }
             }
-            if let Some(packet) = &parsed {
+            if let Some(packet) = parsed {
                 coverage.observe(record.direction, packet);
             }
         }

@@ -12,7 +12,7 @@
 
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
-use l2cap::packet::{parse_signaling, L2capFrame};
+use l2cap::packet::{parse_signaling, L2capFrame, SignalingView};
 use l2cap::ranges::is_abnormal_psm;
 
 /// Returns `true` if a frame transmitted on a BR/EDR link should be counted
@@ -36,26 +36,18 @@ pub fn is_malformed_on(frame: &L2capFrame, link: btcore::LinkType) -> bool {
     let Ok(packet) = parse_signaling(frame) else {
         return true;
     };
-    is_malformed_signaling_on(&packet, link)
+    is_malformed_signaling_on(packet, link)
 }
 
-/// The signalling-layer half of [`is_malformed`] (BR/EDR), for callers that
-/// already parsed the C-frame (the single-pass trace analysis parses each
+/// The signalling-layer half of [`is_malformed_on`], for callers that
+/// already read the C-frame (the single-pass trace analysis reads each
 /// record once and feeds every classifier from it).
-pub fn is_malformed_signaling(packet: &l2cap::packet::SignalingPacket) -> bool {
-    is_malformed_signaling_on(packet, btcore::LinkType::BrEdr)
-}
-
-/// The signalling-layer half of [`is_malformed_on`].
 ///
 /// The LE credit-range checks only apply on an LE link: on BR/EDR the same
 /// byte positions are plain application fields that legitimately hold zero
 /// (e.g. a default-valued LE-family packet a classic fuzzer sends just to be
 /// rejected), so classifying them by LE rules would skew classic metrics.
-pub fn is_malformed_signaling_on(
-    packet: &l2cap::packet::SignalingPacket,
-    link: btcore::LinkType,
-) -> bool {
+pub fn is_malformed_signaling_on(packet: SignalingView<'_>, link: btcore::LinkType) -> bool {
     if !packet.is_length_consistent() || packet.garbage_len() > 0 {
         return true;
     }
@@ -64,11 +56,11 @@ pub fn is_malformed_signaling_on(
     };
     // Structurally undecodable payload for a defined code (checked without
     // materializing the command — this runs per record of every trace).
-    if !Command::structurally_valid(packet.code, &packet.data) {
+    if !Command::structurally_valid(packet.code, packet.data) {
         return true;
     }
     // Abnormal PSM values (Table IV) are malicious by construction.
-    let core = l2cap::fields::extract_core_values(code, &packet.data);
+    let core = l2cap::fields::extract_core_values(code, packet.data);
     if let Some(psm) = core.psm {
         if is_abnormal_psm(psm) {
             return true;
@@ -77,7 +69,7 @@ pub fn is_malformed_signaling_on(
     // The LE credit-based analogues: an SPSM outside the defined space or a
     // credit count from the zero-stall/overflow classes.
     if link.is_le() {
-        let le = l2cap::fields::extract_le_values(code, &packet.data);
+        let le = l2cap::fields::extract_le_values(code, packet.data);
         if let Some(spsm) = le.spsm {
             if l2cap::ranges::is_abnormal_spsm(spsm) {
                 return true;
@@ -100,12 +92,12 @@ pub fn is_rejection(frame: &L2capFrame) -> bool {
     let Ok(packet) = parse_signaling(frame) else {
         return false;
     };
-    is_rejection_signaling(&packet)
+    is_rejection_signaling(packet)
 }
 
 /// The signalling-layer half of [`is_rejection`], for callers that already
-/// parsed the C-frame.
-pub fn is_rejection_signaling(packet: &l2cap::packet::SignalingPacket) -> bool {
+/// read the C-frame.
+pub fn is_rejection_signaling(packet: SignalingView<'_>) -> bool {
     // Only eight command kinds can ever express a rejection; everything else
     // skips decoding entirely (this runs per received record of every trace).
     match CommandCode::from_u8(packet.code) {
@@ -121,7 +113,7 @@ pub fn is_rejection_signaling(packet: &l2cap::packet::SignalingPacket) -> bool {
         ) => {}
         _ => return false,
     }
-    match Command::decode_opt(packet.code, &packet.data) {
+    match Command::decode_opt(packet.code, packet.data) {
         Some(cmd) => is_rejection_command(&cmd),
         None => false,
     }

@@ -14,7 +14,7 @@ use btcore::{Cid, LinkType};
 use hci::link::Direction;
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
-use l2cap::packet::parse_signaling;
+use l2cap::packet::{parse_signaling, SignalingView};
 use l2cap::state::{ChannelState, StateMachine};
 
 use crate::trace::Trace;
@@ -129,7 +129,7 @@ impl CoverageBuilder {
         }
     }
 
-    /// Feeds one captured frame (parsing its signalling payload internally).
+    /// Feeds one captured frame (reading its signalling payload in place).
     pub fn observe_frame(&mut self, direction: Direction, frame: &l2cap::packet::L2capFrame) {
         if !frame.cid.is_signaling() {
             return;
@@ -138,15 +138,15 @@ impl CoverageBuilder {
             self.saw_tx_signaling = true;
         }
         if let Ok(packet) = parse_signaling(frame) {
-            self.observe(direction, &packet);
+            self.observe(direction, packet);
         }
     }
 
-    /// Feeds one already-parsed signalling record.  Callers must have
+    /// Feeds one already-read signalling record.  Callers must have
     /// reported non-parsing transmitted signalling frames through
     /// [`CoverageBuilder::observe_frame`] (or [`CoverageBuilder::saw_tx_signaling`])
     /// for the CLOSED-state rule to hold.
-    pub fn observe(&mut self, direction: Direction, packet: &l2cap::packet::SignalingPacket) {
+    pub fn observe(&mut self, direction: Direction, packet: SignalingView<'_>) {
         let Some(code) = CommandCode::from_u8(packet.code) else {
             return;
         };
@@ -157,7 +157,7 @@ impl CoverageBuilder {
             Direction::Tx => {
                 let mut settled = false;
                 if self.is_connect_shaped(code) {
-                    match Command::decode_opt(packet.code, &packet.data) {
+                    match Command::decode_opt(packet.code, packet.data) {
                         Some(Command::ConnectionRequest(req)) => {
                             self.pending_connects.push((req.scid.value(), code));
                             settled = true;
@@ -206,7 +206,7 @@ impl CoverageBuilder {
                     if link_level {
                         return;
                     }
-                    let core = l2cap::fields::extract_core_values(code, &packet.data);
+                    let core = l2cap::fields::extract_core_values(code, packet.data);
                     let machine = resolve_machine(&mut self.channels, &self.cid_index, &core.cidp);
                     if let Some(machine) = machine {
                         machine.advance(code, true);
@@ -215,7 +215,7 @@ impl CoverageBuilder {
             }
             Direction::Rx => {
                 if self.is_connect_response(code) {
-                    match Command::decode_opt(packet.code, &packet.data) {
+                    match Command::decode_opt(packet.code, packet.data) {
                         Some(Command::ConnectionResponse(rsp)) => {
                             self.settle_connect(
                                 Some(rsp.scid),

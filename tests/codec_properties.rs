@@ -2,7 +2,7 @@
 
 use btcore::{ByteReader, ByteWriter, Cid, FuzzRng, Identifier, Psm};
 use l2cap::code::CommandCode;
-use l2cap::packet::{L2capFrame, SignalingPacket};
+use l2cap::packet::{L2capFrame, SignalingPacket, SignalingView};
 use l2fuzz::guide::ChannelContext;
 use l2fuzz::mutator::CoreFieldMutator;
 use proptest::prelude::*;
@@ -32,16 +32,27 @@ proptest! {
         let large = wire.len() > btcore::FrameBuf::INLINE_CAPACITY;
         prop_assert_eq!(shared.payload.shares_storage_with(&wire), large);
 
-        // Same equivalence one layer down, on the signalling C-frame.
-        let owned_sig = SignalingPacket::parse(&wire).unwrap();
-        let shared_sig = SignalingPacket::parse_buf(&wire).unwrap();
-        prop_assert_eq!(&owned_sig, &shared_sig);
-        prop_assert_eq!(owned_sig.to_bytes(), shared_sig.to_bytes());
-        prop_assert_eq!(shared_sig.data.shares_storage_with(&wire), large);
-        // Re-framing a parsed packet reuses the wire bytes and reproduces
-        // them exactly.
-        let reframed = shared_sig.to_frame();
-        prop_assert_eq!(reframed.payload.as_slice(), wire.as_slice());
+        // Same equivalence one layer down, on the signalling C-frame: the
+        // in-place view reads every field and verdict the owned parse does,
+        // and a runt shorter than the C-frame header fails both the same way.
+        for len in [0, 1, 2, 3, wire.len()] {
+            let bytes = &wire[..len];
+            let (owned, view) = (SignalingPacket::parse(bytes), SignalingView::parse(bytes));
+            prop_assert_eq!(owned.is_err(), len < 4);
+            match (owned, view) {
+                (Ok(owned), Ok(view)) => {
+                    prop_assert_eq!(owned.identifier, view.identifier);
+                    prop_assert_eq!(owned.code, view.code);
+                    prop_assert_eq!(owned.declared_data_len, view.declared_data_len);
+                    prop_assert_eq!(owned.data.as_slice(), view.data);
+                    prop_assert!(std::ptr::eq(view.data, &bytes[4..]));
+                    prop_assert_eq!(owned.is_length_consistent(), view.is_length_consistent());
+                    prop_assert_eq!(owned.garbage_len(), view.garbage_len());
+                    prop_assert_eq!(owned.command(), view.command());
+                }
+                (owned, view) => prop_assert_eq!(owned.err(), view.err()),
+            }
+        }
     }
 
     #[test]
