@@ -2,9 +2,17 @@
 //! vocabulary types (whose impls are derived).
 //!
 //! A `FrameBuf` is not a derivable shape (its bytes live inline or in a
-//! shared allocation), so it streams by hand: exactly like `Vec<u8>`, a JSON
-//! array of numbers, so swapping a `Vec<u8>` field for a `FrameBuf` changes
-//! no serialized artifact.
+//! shared allocation), so it streams by hand, as one string of lowercase
+//! hex digits: the payload `[0x0c, 0x00, 0x01]` is `"0c0001"`.  Every frame
+//! payload in a trace, a checkpoint journal or a report takes this form:
+//! two characters per byte, where an array of numbers takes up to four in a
+//! compact document and an indented line per byte in a pretty one.  The
+//! reader accepts only that form, so what it reads re-serializes
+//! byte-identically.  Plain `Vec<u8>` fields (a corpus entry's wire form, a
+//! `BdAddr`, an OUI) keep the array form.
+//!
+//! Reading decodes through [`FrameBuf::build`]: a payload of up to
+//! [`FrameBuf::INLINE_CAPACITY`] bytes lands inline with no allocation.
 
 use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
 
@@ -12,13 +20,15 @@ use crate::framebuf::FrameBuf;
 
 impl StreamSerialize for FrameBuf {
     fn stream(&self, w: &mut JsonStreamWriter) {
-        self.as_slice().stream(w);
+        w.hex(self.as_slice());
     }
 }
 
 impl StreamDeserialize for FrameBuf {
     fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        Ok(FrameBuf::from_vec(Vec::<u8>::stream_from(r)?))
+        let mut read = Ok(());
+        let frame = FrameBuf::build(|out| read = r.hex_into(out));
+        read.map(|()| frame)
     }
 }
 
@@ -47,7 +57,7 @@ mod tests {
             )
         );
         let buf: FrameBuf = vec![1u8, 2, 250].into();
-        assert_eq!(to_string_streamed(&buf), "[1,2,250]");
+        assert_eq!(to_string_streamed(&buf), r#""0102fa""#);
         for err in ConnectionError::ALL {
             let json = to_string_streamed(&err);
             assert_eq!(json, format!("\"{err:?}\""));
@@ -104,5 +114,31 @@ mod tests {
         let err: ConnectionError = serde_json::from_str_streamed("\"Timeout\"").unwrap();
         assert_eq!(err, ConnectionError::Timeout);
         assert!(serde_json::from_str_streamed::<ConnectionError>("\"Bogus\"").is_err());
+    }
+
+    #[test]
+    fn payloads_other_than_lowercase_hex_pairs_are_typed_errors() {
+        for (json, reason) in [
+            (r#""0c0""#, "odd number of hex digits"),
+            (r#""0g""#, "expected a lowercase hex digit, found `g`"),
+            (r#""0C""#, "expected a lowercase hex digit, found `C`"),
+            (
+                "\"0\u{e9}\"",
+                "expected a lowercase hex digit, found `\\xc3`",
+            ),
+            (r#""\u0030c""#, "escape sequence in a hex string"),
+            (r#""0c\"""#, "escape sequence in a hex string"),
+            ("[12,0]", "expected `\"`, found Some('[')"),
+            ("null", "expected `\"`"),
+            (r#""0c00"#, "unterminated string"),
+            (r#""0c0"#, "unterminated string"),
+            ("", "expected `\"`, found None"),
+        ] {
+            let err = serde_json::from_str_streamed::<FrameBuf>(json).expect_err(json);
+            assert!(err.to_string().contains(reason), "{json}: {err}");
+        }
+        // The empty string is the empty payload.
+        let empty: FrameBuf = serde_json::from_str_streamed(r#""""#).unwrap();
+        assert!(empty.is_empty());
     }
 }

@@ -7,15 +7,19 @@ mod tests {
     use crate::jobs::Job;
     use crate::packet::L2capFrame;
     use crate::state::ChannelState;
-    use btcore::Cid;
-    use serde_json::to_string_streamed;
+    use btcore::{Cid, FrameBuf};
+    use serde_json::{to_string_pretty_streamed, to_string_streamed};
 
     #[test]
     fn frame_and_enums_stream_like_their_derived_encodings() {
         let frame = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x00, 0x00]);
         assert_eq!(
             to_string_streamed(&frame),
-            r#"{"declared_payload_len":4,"cid":1,"payload":[8,1,0,0]}"#
+            r#"{"declared_payload_len":4,"cid":1,"payload":"08010000"}"#
+        );
+        assert_eq!(
+            to_string_pretty_streamed(&frame),
+            "{\n  \"declared_payload_len\": 4,\n  \"cid\": 1,\n  \"payload\": \"08010000\"\n}"
         );
         for state in ChannelState::ALL {
             let json = to_string_streamed(&state);
@@ -54,5 +58,25 @@ mod tests {
         }
         let back: Job = serde_json::from_str_streamed("\"Configuration\"").unwrap();
         assert_eq!(back, Job::Configuration);
+    }
+
+    #[test]
+    fn frames_round_trip_through_both_writers_and_read_inline_up_to_the_capacity() {
+        const N: usize = FrameBuf::INLINE_CAPACITY;
+        for len in [0, 1, N, N + 1, 600] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let frame = L2capFrame::new(Cid::SIGNALING, payload);
+            for json in [
+                to_string_streamed(&frame),
+                to_string_pretty_streamed(&frame),
+            ] {
+                let back: L2capFrame = serde_json::from_str_streamed(&json).unwrap();
+                assert_eq!(back, frame, "len {len}");
+                // Only a payload above the inline capacity reads into a
+                // shared allocation, which its clones share.
+                let shared = back.payload.shares_storage_with(&back.payload.clone());
+                assert_eq!(shared, len > N, "len {len}");
+            }
+        }
     }
 }

@@ -3,24 +3,28 @@
 //! The checkpoint file holds one compact JSON object per line.  The first
 //! line names the sweep (`{"spec":…,"spec_digest":…}`).  Every later line
 //! is one committed shard: its [`ShardRecord`] plus the crash clusters it
-//! opened, each with its exemplar trace.  A shard's joins to existing
-//! clusters are not written again; they replay from the job summaries'
-//! `cluster` keys and trace digests.  The first commit creates the file
-//! atomically (write a sibling temp file, then rename); every later commit
-//! appends its shard's line, so a commit costs what the shard added, not
-//! the whole corpus.
+//! opened, each with its exemplar trace, whose frame payloads are strings
+//! of lowercase hex digits (`"payload":"0c0001…"`).  A shard's joins to
+//! existing clusters are not written again; they replay from the job
+//! summaries' `cluster` keys and trace digests.  The first commit creates
+//! the file atomically (write a sibling temp file, then rename); every
+//! later commit appends its shard's line, so a commit costs what the shard
+//! added, not the whole corpus.
 //!
 //! [`Checkpoint::load`] folds the lines back into the in-memory
 //! [`Checkpoint`] the service held.  A kill mid-append leaves an
 //! unterminated last line: `load` drops it as torn, and a resumed sweep
 //! truncates it before appending again.  A complete line that does not
 //! parse, that does not hold the spec's jobs for its shard, or whose jobs
-//! do not hash to its recorded digest is a [`ServiceError::Json`], and an
-//! exemplar trace that no longer hashes to its job's recorded digest is a
-//! [`ServiceError::ExemplarMismatch`].  A resumed sweep continues from the
-//! first uncommitted shard; because campaigns are deterministic, re-running
-//! any committed shard must reproduce its recorded digest, which is how a
-//! resume is *verified* rather than trusted.
+//! do not hash to its recorded digest (which covers every summary field)
+//! is a [`ServiceError::Json`], and an exemplar trace that no longer hashes
+//! to its job's recorded digest is a [`ServiceError::ExemplarMismatch`].
+//! A stored exemplar whose frame payloads are arrays of numbers, as written
+//! before payloads became hex strings, does not parse.  A resumed sweep
+//! continues from the first uncommitted shard; because campaigns are
+//! deterministic, re-running any committed shard must reproduce its
+//! recorded digest, which is how a resume is *verified* rather than
+//! trusted.
 
 use std::fmt::Display;
 use std::io::Write;
@@ -92,8 +96,7 @@ pub struct JobSummary {
     pub trace_digest: u64,
     /// State-coverage bitmask of the job's merged trace
     /// ([`sniffer::StateCoverage::signature`]); zero for quarantined jobs.
-    /// Feeds the corpus store's novelty ranking, and deliberately stays out
-    /// of the shard digest so pre-existing checkpoints keep verifying.
+    /// Feeds the corpus store's novelty ranking.
     pub coverage_signature: u32,
     /// The corpus cluster this job joined, when it crashed the target.
     pub cluster: Option<ClusterKey>,
@@ -103,30 +106,79 @@ pub struct JobSummary {
     pub failure: Option<String>,
 }
 
+impl JobSummary {
+    /// Feeds every field to `h`, in declaration order; an `Option` is a
+    /// tag byte followed by its value.  The destructuring names every
+    /// field, so a field added later cannot stay out of the digest.
+    fn digest_into(&self, h: &mut Fnv64) {
+        let JobSummary {
+            index,
+            target,
+            seed,
+            vulnerable,
+            findings,
+            packets_sent,
+            elapsed_secs,
+            report_digest,
+            trace_digest,
+            coverage_signature,
+            cluster,
+            outcome,
+            failure,
+        } = self;
+        h.write_u64(*index as u64);
+        h.write_str(&target.to_string());
+        h.write_u64(*seed);
+        h.write_u8(u8::from(*vulnerable));
+        h.write_u64(*findings as u64);
+        h.write_u64(*packets_sent);
+        h.write_u64(*elapsed_secs);
+        h.write_u64(*report_digest);
+        h.write_u64(*trace_digest);
+        h.write_u64(u64::from(*coverage_signature));
+        match cluster {
+            Some(ClusterKey {
+                crash_digest,
+                coverage_signature,
+            }) => {
+                h.write_u8(1);
+                h.write_u64(*crash_digest);
+                h.write_u64(u64::from(*coverage_signature));
+            }
+            None => h.write_u8(0),
+        }
+        h.write_u64(outcome.digest_tag());
+        match failure {
+            Some(failure) => {
+                h.write_u8(1);
+                h.write_str(failure);
+            }
+            None => h.write_u8(0),
+        }
+    }
+}
+
 /// One committed shard: its jobs plus the digest that pins them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecord {
     /// Shard index (commits are contiguous from zero).
     pub shard: usize,
-    /// Digest over the member jobs' report and trace digests, in job order.
+    /// Digest over every field of the member job summaries, in job order.
     pub digest: u64,
     /// The member job summaries, ascending by index.
     pub jobs: Vec<JobSummary>,
 }
 
 impl ShardRecord {
-    /// Computes the shard digest for a job list.  Quarantined jobs pin
-    /// their outcome and failure reason instead of report/trace content, so
-    /// a resume re-running the shard must reproduce the same failure.
+    /// Computes the shard digest for a job list: every field of every
+    /// summary.  Commit, resume verification and the journal fold all call
+    /// this one function, so a summary edited anywhere, a quarantined job's
+    /// outcome and failure reason included, fails whichever of them checks
+    /// it next.
     pub fn digest_jobs(jobs: &[JobSummary]) -> u64 {
         let mut h = Fnv64::new();
         for job in jobs {
-            h.write_u64(job.report_digest);
-            h.write_u64(job.trace_digest);
-            h.write_u64(job.outcome.digest_tag());
-            if let Some(failure) = &job.failure {
-                h.write_str(failure);
-            }
+            job.digest_into(&mut h);
         }
         h.finish()
     }
@@ -596,8 +648,23 @@ mod tests {
                 r#""clusters":[]"#,
                 &format!(r#""clusters":{}"#, stored.replace(":0,", ":3,")),
             ),
-            // A summary edited under the digest it was committed with.
+            // A summary edited under the digest it was committed with, one
+            // case per field.
             journal.replace(r#""report_digest":57005,"#, r#""report_digest":57004,"#),
+            journal.replacen(r#""target":"D2","#, r#""target":"D4","#, 1),
+            journal.replacen(r#""seed":1,"#, r#""seed":9,"#, 1),
+            journal.replacen(r#""vulnerable":true,"#, r#""vulnerable":false,"#, 1),
+            journal.replacen(r#""findings":1,"#, r#""findings":2,"#, 1),
+            journal.replacen(r#""packets_sent":42,"#, r#""packets_sent":43,"#, 1),
+            journal.replacen(r#""elapsed_secs":7,"#, r#""elapsed_secs":8,"#, 1),
+            journal.replacen(
+                r#""coverage_signature":3,"cluster""#,
+                r#""coverage_signature":7,"cluster""#,
+                1,
+            ),
+            // Both members of the cluster moved to another key together, so
+            // the fold still opens and joins one cluster.
+            journal.replace(r#""crash_digest":9,"#, r#""crash_digest":8,"#),
             // Shard 1 holding a job of another shard.
             journal.replace(r#"{"index":3,"#, r#"{"index":1,"#),
             // A shard beyond the spec's last.
@@ -612,10 +679,52 @@ mod tests {
             lines[0].replace(r#""seeds":[1,2,3,4]"#, r#""seeds":[]"#),
         ];
         for case in cases {
+            assert_ne!(case, journal, "every case edits the journal");
             std::fs::write(&path, &case).unwrap();
             let err = Checkpoint::load(&path).expect_err(&case);
             assert!(matches!(err, ServiceError::Json { .. }), "{case}: {err}");
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_exemplar_payload_in_the_array_form_does_not_load() {
+        use btcore::Cid;
+        use hci::link::{Direction, PacketRecord};
+        use l2cap::packet::L2capFrame;
+
+        let trace = Trace::from_records(vec![PacketRecord {
+            direction: Direction::Tx,
+            timestamp_micros: 5,
+            frame: L2capFrame::new(Cid::SIGNALING, vec![0x0C, 0x00, 0x01, 0x00]),
+        }]);
+        let spec = SweepSpec::new("unit", [ProfileId::D2], [1]).with_shard_size(1);
+        let mut cp = Checkpoint::new(spec);
+        let job = JobSummary {
+            trace_digest: trace_digest(&trace),
+            ..summary(0, Some(KEY))
+        };
+        let exemplar = Exemplar {
+            vuln_ids: vec!["V1".to_owned()],
+            description: "DoS".to_owned(),
+            trace,
+        };
+        cp.corpus.open(KEY, 0, job.trace_digest, exemplar);
+        cp.shards.push(ShardRecord {
+            shard: 0,
+            digest: ShardRecord::digest_jobs(std::slice::from_ref(&job)),
+            jobs: vec![job],
+        });
+        let path = scratch("array-payload");
+        cp.save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+
+        let journal = std::fs::read_to_string(&path).unwrap();
+        let hex = r#""payload":"0c000100""#;
+        assert!(journal.contains(hex), "{journal}");
+        std::fs::write(&path, journal.replace(hex, r#""payload":[12,0,1,0]"#)).unwrap();
+        let err = Checkpoint::load(&path).expect_err("array payloads predate the hex form");
+        assert!(matches!(err, ServiceError::Json { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 }

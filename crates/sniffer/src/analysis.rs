@@ -6,15 +6,17 @@
 //! [`TraceAnalysis::from_trace`] walks the trace once, reads each record's
 //! C-frame once, in place (a [`SignalingView`] borrowing the record's
 //! payload, so no byte is copied), and feeds that view to both the
-//! malformed/rejection classifiers and the coverage replay.  The results
-//! are identical to the two-pass computations (`tests` below assert it).
+//! malformed/rejection classifiers and the coverage replay.  A transmitted
+//! record's core field values are extracted at most once: the malformed
+//! check hands the ones it read on to the replay.  The results are
+//! identical to the two-pass computations (`tests` below assert it).
 //!
 //! [`SignalingView`]: l2cap::packet::SignalingView
 
 use hci::link::Direction;
 use l2cap::packet::parse_signaling;
 
-use crate::classify::{is_malformed_signaling_on, is_rejection_signaling};
+use crate::classify::{is_malformed_signaling_keeping_core, is_rejection_signaling};
 use crate::coverage::{CoverageBuilder, StateCoverage};
 use crate::metrics::MetricsSummary;
 use crate::trace::Trace;
@@ -49,6 +51,7 @@ impl TraceAnalysis {
             } else {
                 None
             };
+            let mut core = None;
             match record.direction {
                 Direction::Tx => {
                     transmitted += 1;
@@ -57,7 +60,9 @@ impl TraceAnalysis {
                     let is_malformed = signaling
                         && (!frame.is_length_consistent()
                             || match parsed {
-                                Some(packet) => is_malformed_signaling_on(packet, link),
+                                Some(packet) => {
+                                    is_malformed_signaling_keeping_core(packet, link, &mut core)
+                                }
                                 None => true,
                             });
                     if is_malformed {
@@ -77,7 +82,7 @@ impl TraceAnalysis {
                 }
             }
             if let Some(packet) = parsed {
-                coverage.observe(record.direction, packet);
+                coverage.observe_with_core(record.direction, packet, core);
             }
         }
         TraceAnalysis {

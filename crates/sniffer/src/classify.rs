@@ -12,6 +12,7 @@
 
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
+use l2cap::fields::CoreFieldValues;
 use l2cap::packet::{parse_signaling, L2capFrame, SignalingView};
 use l2cap::ranges::is_abnormal_psm;
 
@@ -48,6 +49,18 @@ pub fn is_malformed_on(frame: &L2capFrame, link: btcore::LinkType) -> bool {
 /// (e.g. a default-valued LE-family packet a classic fuzzer sends just to be
 /// rejected), so classifying them by LE rules would skew classic metrics.
 pub fn is_malformed_signaling_on(packet: SignalingView<'_>, link: btcore::LinkType) -> bool {
+    is_malformed_signaling_keeping_core(packet, link, &mut None)
+}
+
+/// [`is_malformed_signaling_on`], also leaving in `core` the core field
+/// values it extracted, when it got that far, so that the single-pass
+/// analysis hands them on to the coverage replay instead of extracting them
+/// a second time.
+pub(crate) fn is_malformed_signaling_keeping_core(
+    packet: SignalingView<'_>,
+    link: btcore::LinkType,
+    core: &mut Option<CoreFieldValues>,
+) -> bool {
     if !packet.is_length_consistent() || packet.garbage_len() > 0 {
         return true;
     }
@@ -60,7 +73,7 @@ pub fn is_malformed_signaling_on(packet: SignalingView<'_>, link: btcore::LinkTy
         return true;
     }
     // Abnormal PSM values (Table IV) are malicious by construction.
-    let core = l2cap::fields::extract_core_values(code, packet.data);
+    let core = core.insert(l2cap::fields::extract_core_values(code, packet.data));
     if let Some(psm) = core.psm {
         if is_abnormal_psm(psm) {
             return true;

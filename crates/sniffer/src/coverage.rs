@@ -14,6 +14,7 @@ use btcore::{Cid, LinkType};
 use hci::link::Direction;
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
+use l2cap::fields::CoreFieldValues;
 use l2cap::packet::{parse_signaling, SignalingView};
 use l2cap::state::{ChannelState, StateMachine};
 
@@ -147,6 +148,18 @@ impl CoverageBuilder {
     /// [`CoverageBuilder::observe_frame`] (or [`CoverageBuilder::saw_tx_signaling`])
     /// for the CLOSED-state rule to hold.
     pub fn observe(&mut self, direction: Direction, packet: SignalingView<'_>) {
+        self.observe_with_core(direction, packet, None);
+    }
+
+    /// [`CoverageBuilder::observe`] for a caller that may already hold the
+    /// record's core field values (`extract_core_values` of its code and
+    /// data); they are extracted here only when `core` is `None`.
+    pub(crate) fn observe_with_core(
+        &mut self,
+        direction: Direction,
+        packet: SignalingView<'_>,
+        core: Option<CoreFieldValues>,
+    ) {
         let Some(code) = CommandCode::from_u8(packet.code) else {
             return;
         };
@@ -206,7 +219,8 @@ impl CoverageBuilder {
                     if link_level {
                         return;
                     }
-                    let core = l2cap::fields::extract_core_values(code, packet.data);
+                    let core = core
+                        .unwrap_or_else(|| l2cap::fields::extract_core_values(code, packet.data));
                     let machine = resolve_machine(&mut self.channels, &self.cid_index, &core.cidp);
                     if let Some(machine) = machine {
                         machine.advance(code, true);

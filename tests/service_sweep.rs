@@ -315,22 +315,24 @@ fn a_corrupt_exemplar_from_an_earlier_shard_is_caught_on_load() {
         .run()
         .expect("partial sweep runs");
 
-    // Shard 0's line opened the D2 cluster with job 0's trace.  Flip one
-    // bit of a payload byte in that trace, keeping the JSON well-formed.
+    // Shard 0's line opened the D2 cluster with job 0's trace.  Flip the
+    // low bit of a payload byte in that trace by rewriting the byte's
+    // second hex digit, keeping the JSON well-formed.
     let journal = std::fs::read_to_string(&path).expect("journal reads");
     let lines: Vec<&str> = journal.split_inclusive('\n').collect();
     let trace_at = lines[1]
         .find("\"exemplar_trace\"")
         .expect("shard 0 opened a cluster");
-    let key = "\"payload\":[";
+    let key = "\"payload\":\"";
     let at = lines[1][trace_at..]
         .match_indices(key)
-        .map(|(i, _)| trace_at + i + key.len())
-        .find(|&i| lines[1].as_bytes()[i].is_ascii_digit())
+        .map(|(i, _)| trace_at + i + key.len() + 1)
+        .find(|&i| lines[1].as_bytes()[i] != b'"')
         .expect("the exemplar carries payload bytes");
-    let end = at + lines[1][at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    let byte: u8 = lines[1][at..end].parse().expect("payload byte");
-    let flipped = format!("{}{}{}", &lines[1][..at], byte ^ 1, &lines[1][end..]);
+    let digit = char::from(lines[1].as_bytes()[at]);
+    let nibble = digit.to_digit(16).expect("a hex digit") ^ 1;
+    let flipped_digit = char::from_digit(nibble, 16).expect("a nibble");
+    let flipped = format!("{}{flipped_digit}{}", &lines[1][..at], &lines[1][at + 1..]);
     std::fs::write(&path, [lines[0], &flipped, lines[2]].concat()).expect("journal writes");
 
     let err = Checkpoint::load(&path).expect_err("corrupt exemplar must not load");

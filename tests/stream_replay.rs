@@ -183,18 +183,18 @@ fn rendered_artifacts_match_their_golden_digests() {
         (
             "pretty report",
             report.to_json().into_bytes(),
-            0x84cd_cbd0_0b98_5f38,
+            0x2eab_f904_6842_4466,
         ),
         (
             "compact report",
             to_string_streamed(&report).into_bytes(),
-            0x9ba7_c3b2_1cc4_aafe,
+            0x6d59_2544_daee_be28,
         ),
-        ("checkpoint journal", journal, 0x6f60_df93_1782_3361),
+        ("checkpoint journal", journal, 0x9e82_db66_7318_0890),
         (
             "D4 seed 7 trace",
             trace.to_json().into_bytes(),
-            0xb6f0_4e76_ba08_325b,
+            0xc132_f566_c295_ca7d,
         ),
         (
             "D4 feedback corpus",
