@@ -1,10 +1,11 @@
 //! Little-endian byte codec helpers.
 //!
 //! All Bluetooth host-stack multi-byte fields are transmitted little-endian,
-//! so the packet codecs in the `l2cap` and `hci` crates are built on these
-//! two small cursor types.  [`ByteReader`] is deliberately strict: every
-//! short read is a [`CodecError`], never a panic, so malformed inputs surface
-//! as values the fuzzing pipeline can reason about.
+//! so the packet codecs in the `l2cap` and `hci` crates read through
+//! [`ByteReader`] and write through [`ByteSink`].  [`ByteReader`] is
+//! deliberately strict: every short read is a [`CodecError`], never a panic,
+//! so malformed inputs surface as values the fuzzing pipeline can reason
+//! about.
 
 use std::fmt;
 
@@ -165,80 +166,47 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// A growable little-endian byte writer.
+/// Where encoders append little-endian fields: a plain `Vec<u8>`, or the
+/// [`FrameWriter`](crate::framebuf::FrameWriter) of a frame being built in
+/// place.  Each encoder is written once, against this trait, whatever it
+/// writes into.
 ///
 /// # Example
 ///
 /// ```
-/// use btcore::ByteWriter;
-/// let mut w = ByteWriter::new();
-/// w.write_u8(0x02);
-/// w.write_u16(0x0040);
-/// assert_eq!(w.into_bytes(), vec![0x02, 0x40, 0x00]);
+/// use btcore::ByteSink;
+/// let mut out = Vec::new();
+/// out.write_u8(0x02);
+/// out.write_u16(0x0040);
+/// assert_eq!(out, vec![0x02, 0x40, 0x00]);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        ByteWriter { buf: Vec::new() }
-    }
-
-    /// Creates a writer with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        ByteWriter {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Wraps an existing vector; written bytes are appended after its current
-    /// contents.  Lets encoders write into reused (e.g. scratch)
-    /// buffers instead of allocating a fresh one per packet.
-    pub fn wrap(buf: Vec<u8>) -> Self {
-        ByteWriter { buf }
-    }
+pub trait ByteSink {
+    /// Appends raw bytes.
+    fn write_bytes(&mut self, bytes: &[u8]);
 
     /// Appends one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_bytes(&[v]);
     }
 
     /// Appends a `u16` in little-endian order.
-    pub fn write_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_bytes(&v.to_le_bytes());
     }
 
     /// Appends a `u32` in little-endian order.
-    pub fn write_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_bytes(&v.to_le_bytes());
     }
+}
 
-    /// Appends raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Returns a view of the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Consumes the writer and returns the accumulated bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -296,12 +264,11 @@ mod tests {
 
     #[test]
     fn writer_roundtrips_with_reader() {
-        let mut w = ByteWriter::new();
-        w.write_u8(0x04);
-        w.write_u16(0x0008);
-        w.write_u32(0xDEADBEEF);
-        w.write_bytes(&[1, 2, 3]);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.write_u8(0x04);
+        bytes.write_u16(0x0008);
+        bytes.write_u32(0xDEADBEEF);
+        bytes.write_bytes(&[1, 2, 3]);
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_u8().unwrap(), 0x04);

@@ -7,25 +7,29 @@
 //! ACL) live in one `Arc<[u8]>`: their clones and slices share the bytes by
 //! reference count, a minimal, dependency-free equivalent of `bytes::Bytes`.
 //!
-//! Encoders fill the thread's reused scratch vector through
-//! [`FrameBuf::build`] and copy the finished bytes in once, so building a
-//! frame makes no allocation of its own.
+//! Encoders write each frame once, in place: [`FrameBuf::build`] hands them
+//! a [`FrameWriter`] over the inline array the finished buffer keeps, so a
+//! frame that fits inline is written straight into its own storage, with no
+//! scratch buffer, copy or allocation.  Only a frame that outgrows the
+//! array spills into a vector, copied into the frame's one shared
+//! allocation when the build ends.
 //!
 //! # Example
 //!
 //! ```
 //! use btcore::FrameBuf;
 //!
-//! let frame = FrameBuf::build(|out| out.extend_from_slice(&[0x0C, 0x00, 0x01, 0x00]));
-//! let payload = frame.slice(2..);
-//! assert_eq!(payload, [0x01, 0x00]);
-//! // A slice remembers the bytes before it: widening restores the frame.
-//! assert_eq!(payload.widen_front(2), Some(frame));
+//! let frame = FrameBuf::build(|out| {
+//!     out.extend_from_slice(&[0x0C, 0x00, 0x00, 0x00]);
+//!     // A length field patched once the bytes after it are written.
+//!     out[2] = (out.len() - 2) as u8;
+//! });
+//! assert_eq!(frame, [0x0C, 0x00, 0x02, 0x00]);
+//! assert_eq!(frame.slice(2..), [0x02, 0x00]);
 //! ```
 
-use std::cell::Cell;
 use std::fmt;
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// Where a [`FrameBuf`]'s bytes live, and the window of them it exposes.
@@ -108,22 +112,23 @@ impl FrameBuf {
         FrameBuf { repr }
     }
 
-    /// Builds a buffer by letting `fill` write into the thread's reused
-    /// scratch vector (handed over empty), then copies the bytes in once.
+    /// Builds a buffer by letting `fill` write it through a [`FrameWriter`],
+    /// handed over empty.
     ///
-    /// The vector is taken out of its slot for the call and put back after
-    /// rather than borrowed, so a `build` nested inside `fill` just starts
-    /// from a fresh vector: the builder cannot panic.
-    pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> FrameBuf {
-        thread_local! {
-            static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-        }
-        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
-        scratch.clear();
-        fill(&mut scratch);
-        let frame = FrameBuf::copy_from_slice(&scratch);
-        let _ = SCRATCH.try_with(|slot| slot.set(scratch));
-        frame
+    /// The bytes land in the array the returned buffer keeps inline, so a
+    /// frame of up to [`FrameBuf::INLINE_CAPACITY`] bytes is written once
+    /// and never allocates; a larger one ends in one shared allocation.
+    /// Each call owns its writer, so a `build` nested inside `fill` is
+    /// independent of the outer one.
+    #[inline]
+    pub fn build(fill: impl FnOnce(&mut FrameWriter)) -> FrameBuf {
+        let mut writer = FrameWriter {
+            len: 0,
+            inline: [0; FrameBuf::INLINE_CAPACITY],
+            spill: None,
+        };
+        fill(&mut writer);
+        writer.finish()
     }
 
     /// The bytes this view exposes.
@@ -185,21 +190,6 @@ impl FrameBuf {
         }
     }
 
-    /// Returns a view widened by `n` bytes *before* this view's start, if the
-    /// buffer holds them: the inverse of `slice(n..)`, in either
-    /// representation.
-    ///
-    /// The extra bytes are whatever precedes the view in its buffer —
-    /// meaningful only when the caller knows how the buffer was built (e.g. a
-    /// packet body sliced out of a frame recovering the frame's header).
-    #[inline]
-    pub fn widen_front(&self, n: usize) -> Option<FrameBuf> {
-        let (start, end) = self.window();
-        start
-            .checked_sub(n)
-            .map(|start| self.with_window(start, end))
-    }
-
     /// The exposed window, as offsets into the held bytes.
     #[inline]
     fn window(&self) -> (usize, usize) {
@@ -231,6 +221,126 @@ impl FrameBuf {
 impl Default for FrameBuf {
     fn default() -> Self {
         FrameBuf::new()
+    }
+}
+
+/// The writer [`FrameBuf::build`] hands its closure: a byte vector's
+/// appending and editing operations over the inline array of the buffer
+/// being built.
+///
+/// It dereferences to the bytes written so far, so fields already written
+/// can be patched by index.  A write that would take the frame past
+/// [`FrameBuf::INLINE_CAPACITY`] moves the bytes into a vector, which keeps
+/// every later write; a frame that is back within the capacity when the
+/// build ends is stored inline all the same.
+pub struct FrameWriter {
+    /// The number of bytes written while the frame fits inline.
+    len: usize,
+    inline: [u8; FrameBuf::INLINE_CAPACITY],
+    /// Every byte, once the frame has outgrown the inline array.
+    spill: Option<Vec<u8>>,
+}
+
+impl FrameWriter {
+    /// Appends one byte.
+    #[inline]
+    pub fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+
+    /// Appends `bytes`.
+    #[inline]
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        match &mut self.spill {
+            Some(spill) => spill.extend_from_slice(bytes),
+            None => {
+                let end = self.len + bytes.len();
+                match self.inline.get_mut(self.len..end) {
+                    Some(tail) => {
+                        tail.copy_from_slice(bytes);
+                        self.len = end;
+                    }
+                    None => self.spill(end).extend_from_slice(bytes),
+                }
+            }
+        }
+    }
+
+    /// Grows the frame to `len` bytes, filling with `value`, or shortens it
+    /// to `len` bytes.
+    #[inline]
+    pub fn resize(&mut self, len: usize, value: u8) {
+        match &mut self.spill {
+            Some(spill) => spill.resize(len, value),
+            None if len <= FrameBuf::INLINE_CAPACITY => {
+                if let Some(tail) = self.inline.get_mut(self.len..len) {
+                    tail.fill(value);
+                }
+                self.len = len;
+            }
+            None => self.spill(len).resize(len, value),
+        }
+    }
+
+    /// Shortens the frame to `len` bytes; a no-op when it is not longer.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.spill {
+            Some(spill) => spill.truncate(len),
+            None => self.len = self.len.min(len),
+        }
+    }
+
+    /// Moves the inline bytes into a vector with room for `len` bytes.
+    #[cold]
+    fn spill(&mut self, len: usize) -> &mut Vec<u8> {
+        let mut spill = Vec::with_capacity(len.max(2 * FrameBuf::INLINE_CAPACITY));
+        spill.extend_from_slice(&self.inline[..self.len]);
+        self.spill.insert(spill)
+    }
+
+    /// The finished buffer: the inline array as written, or a copy of the
+    /// spilled bytes (inline again if they fit).
+    #[inline]
+    fn finish(self) -> FrameBuf {
+        match self.spill {
+            None => FrameBuf {
+                repr: Repr::Inline {
+                    start: 0,
+                    end: self.len as u8,
+                    bytes: self.inline,
+                },
+            },
+            Some(spill) => FrameBuf::copy_from_slice(&spill),
+        }
+    }
+}
+
+impl Deref for FrameWriter {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match &self.spill {
+            Some(spill) => spill,
+            None => &self.inline[..self.len],
+        }
+    }
+}
+
+impl DerefMut for FrameWriter {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match &mut self.spill {
+            Some(spill) => spill,
+            None => &mut self.inline[..self.len],
+        }
+    }
+}
+
+impl crate::codec::ByteSink for FrameWriter {
+    #[inline]
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -343,19 +453,30 @@ mod tests {
 
     #[test]
     fn every_constructor_holds_the_bytes_at_lengths_around_the_inline_capacity() {
-        for len in [0, 1, N, N + 1, 65_539] {
+        for len in [0, 1, N - 1, N, N + 1, 600, 65_539] {
             let bytes = pattern(len);
             let copied = FrameBuf::copy_from_slice(&bytes);
             assert_eq!(copied.as_slice(), bytes.as_slice(), "len {len}");
             assert_eq!(copied.len(), len);
             assert_eq!(copied.is_empty(), len == 0);
             assert_eq!(FrameBuf::from_vec(bytes.clone()), copied);
-            assert_eq!(FrameBuf::build(|out| out.extend_from_slice(&bytes)), copied);
-            let clone = copied.clone();
-            assert_eq!(clone, copied);
-            // Only buffers above the inline capacity live in a shared
-            // allocation.
-            assert_eq!(clone.shares_storage_with(&copied), len > N, "len {len}");
+            // Built in one write, byte by byte, through the `ByteSink`
+            // encoders use, and as a resize patched by index.
+            let built = [
+                FrameBuf::build(|out| out.extend_from_slice(&bytes)),
+                FrameBuf::build(|out| bytes.iter().for_each(|&b| out.push(b))),
+                FrameBuf::build(|out| crate::codec::ByteSink::write_bytes(out, &bytes)),
+                FrameBuf::build(|out| {
+                    out.resize(len, 0);
+                    out.copy_from_slice(&bytes);
+                }),
+            ];
+            for buf in [&copied].into_iter().chain(&built) {
+                assert_eq!(buf, &copied, "len {len}");
+                // Only buffers above the inline capacity live in a shared
+                // allocation.
+                assert_eq!(is_shared(buf), len > N, "len {len}");
+            }
         }
     }
 
@@ -383,18 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_widen_front_work_in_both_representations() {
+    fn slices_work_in_both_representations() {
         for len in [8, N, N + 1, 300] {
             let bytes = pattern(len);
             let buf = FrameBuf::copy_from_slice(&bytes);
             let body = buf.slice(4..);
             assert_eq!(body.as_slice(), &bytes[4..], "len {len}");
-            assert_eq!(body.widen_front(4), Some(buf.clone()));
-            assert_eq!(body.widen_front(2).unwrap().as_slice(), &bytes[2..]);
-            assert_eq!(body.widen_front(5), None);
             let inner = body.slice(1..3);
             assert_eq!(inner.as_slice(), &bytes[5..7]);
-            assert_eq!(inner.widen_front(5).unwrap().as_slice(), &bytes[..7]);
             assert!(buf.slice(len..).is_empty());
             assert_eq!(buf.slice(..=1).as_slice(), &bytes[..2]);
         }
@@ -421,7 +538,9 @@ mod tests {
 
     #[test]
     fn frame_buf_fits_in_one_cache_line() {
-        assert!(std::mem::size_of::<FrameBuf>() <= 64);
+        // 53 inline bytes, their window and the representation tag; a
+        // larger value would also grow every tap record that holds one.
+        assert_eq!(std::mem::size_of::<FrameBuf>(), 56);
     }
 
     #[test]
@@ -430,10 +549,82 @@ mod tests {
             out.push(1);
             let inner = FrameBuf::build(|out| out.extend_from_slice(&[2, 3]));
             out.extend_from_slice(&inner);
+            // An inner build that spills leaves the outer writer inline.
+            let large = FrameBuf::build(|out| out.resize(N + 7, 0xEE));
+            assert_eq!(large.len(), N + 7);
+            out.push(4);
         });
-        assert_eq!(outer, [1, 2, 3]);
-        // The scratch vector comes back empty for the next build.
+        assert_eq!(outer, [1, 2, 3, 4]);
+        assert!(!outer.shares_storage_with(&outer.clone()));
+        // Every build starts from an empty writer.
         assert_eq!(FrameBuf::build(|out| out.push(9)), [9]);
+    }
+
+    /// Whether `buf` lives in a shared allocation rather than inline.
+    fn is_shared(buf: &FrameBuf) -> bool {
+        buf.shares_storage_with(&buf.clone())
+    }
+
+    #[test]
+    fn writes_that_cross_the_inline_capacity_mid_build_keep_every_byte() {
+        let bytes = pattern(3 * N);
+        // Extend across the boundary, then patch bytes on both sides of it
+        // and append after the spill.
+        let built = FrameBuf::build(|out| {
+            out.extend_from_slice(&bytes[..N - 2]);
+            assert_eq!(out.len(), N - 2);
+            out.extend_from_slice(&bytes[N - 2..N + 3]);
+            assert_eq!(out.len(), N + 3);
+            out[0] = 0xA0;
+            out[N + 1] = 0xA1;
+            out.push(0xA2);
+        });
+        let mut expected = bytes[..N + 3].to_vec();
+        expected[0] = 0xA0;
+        expected[N + 1] = 0xA1;
+        expected.push(0xA2);
+        assert_eq!(built, expected);
+        assert!(is_shared(&built));
+
+        // Resize up past the capacity, fill by index, then back down: the
+        // finished buffer is inline again once it fits.
+        for (up, down) in [(N + 1, N), (600, 10), (600, 0), (N + 1, N + 1)] {
+            let built = FrameBuf::build(|out| {
+                out.extend_from_slice(&[7, 8]);
+                out.resize(up, 0x55);
+                out[up - 1] = 0x66;
+                assert_eq!(out[2..up - 1], vec![0x55; up - 3][..]);
+                out.resize(down, 0);
+            });
+            let mut expected = vec![7, 8];
+            expected.resize(up, 0x55);
+            expected[up - 1] = 0x66;
+            expected.truncate(down);
+            assert_eq!(built, expected, "up {up}, down {down}");
+            assert_eq!(is_shared(&built), down > N, "up {up}, down {down}");
+        }
+
+        // Truncate after a spill, then grow again; truncating never grows.
+        let built = FrameBuf::build(|out| {
+            out.extend_from_slice(&bytes[..2 * N]);
+            out.truncate(5);
+            out.truncate(9);
+            assert_eq!(out.len(), 5);
+            out.extend_from_slice(&[1, 2, 3]);
+            out[5] ^= 0xFF;
+        });
+        let mut expected = bytes[..5].to_vec();
+        expected.extend_from_slice(&[1 ^ 0xFF, 2, 3]);
+        assert_eq!(built, expected);
+        assert!(!is_shared(&built));
+
+        // Inline resize down and up again re-fills the regrown bytes.
+        let built = FrameBuf::build(|out| {
+            out.extend_from_slice(&[9; 8]);
+            out.resize(3, 0);
+            out.resize(6, 4);
+        });
+        assert_eq!(built, [9, 9, 9, 4, 4, 4]);
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! byte-identically.  Plain `Vec<u8>` fields (a corpus entry's wire form, a
 //! `BdAddr`, an OUI) keep the array form.
 //!
-//! Reading decodes through [`FrameBuf::build`]: a payload of up to
-//! [`FrameBuf::INLINE_CAPACITY`] bytes lands inline with no allocation.
+//! Reading decodes each digit pair straight into the
+//! [`FrameWriter`](crate::framebuf::FrameWriter) of a
+//! [`FrameBuf::build`]: a payload of up to [`FrameBuf::INLINE_CAPACITY`]
+//! bytes is written into the buffer's own inline array, with no
+//! intermediate vector and no allocation.
 
 use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
 
@@ -27,7 +30,7 @@ impl StreamSerialize for FrameBuf {
 impl StreamDeserialize for FrameBuf {
     fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
         let mut read = Ok(());
-        let frame = FrameBuf::build(|out| read = r.hex_into(out));
+        let frame = FrameBuf::build(|out| read = r.hex_into(|b| out.push(b)));
         read.map(|()| frame)
     }
 }

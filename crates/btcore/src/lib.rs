@@ -7,9 +7,11 @@
 //! * [`Cid`], [`Psm`], [`ConnectionHandle`], [`Identifier`] — the L2CAP
 //!   channel, port, link and signalling identifiers that the paper's *core
 //!   field mutating* technique targets.
-//! * [`codec`] — little-endian byte reader/writer used by every packet codec.
+//! * [`codec`] — the little-endian byte reader and the [`ByteSink`] every
+//!   packet encoder writes into.
 //! * [`FrameBuf`] — the cloneable, sliceable frame buffer every packet layer
-//!   shares: small frames inline, large ones in one shared allocation.
+//!   shares: small frames inline, large ones in one shared allocation, each
+//!   written once, in place, through a [`FrameWriter`].
 //! * [`ConnectionError`] — the five connection-level error messages the
 //!   paper's vulnerability-detection phase distinguishes (§III-E).
 //! * [`SimClock`] — a deterministic virtual clock so "elapsed time" results
@@ -46,11 +48,11 @@ pub mod rng;
 
 pub use addr::{BdAddr, Oui, ParseBdAddrError};
 pub use clock::SimClock;
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use codec::{ByteReader, ByteSink, CodecError};
 pub use device::{DeviceClass, DeviceMeta, LinkSlot, LinkType};
 pub use error::{BtError, ConnectionError};
 pub use event::{EventScheduler, EventTicket, SourceId};
-pub use framebuf::FrameBuf;
+pub use framebuf::{FrameBuf, FrameWriter};
 pub use ids::{Cid, ConnectionHandle, Identifier, Psm};
 pub use oracle::{PingOutcome, TargetOracle};
 pub use rng::{splitmix64, FuzzRng};

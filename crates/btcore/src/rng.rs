@@ -108,8 +108,18 @@ impl FuzzRng {
     /// Panics if `items` is empty.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick requires a non-empty slice");
-        let idx = self.inner.gen_range(0..items.len());
-        &items[idx]
+        &items[self.index(items.len())]
+    }
+
+    /// Returns a uniformly random index below `len`: the draw
+    /// [`FuzzRng::pick`] makes for a slice of `len` items, for a caller
+    /// that counts its items instead of collecting them.
+    ///
+    /// # Panics
+    /// Panics if `len` is zero.
+    #[inline]
+    pub fn index(&mut self, len: usize) -> usize {
+        self.inner.gen_range(0..len)
     }
 
     /// Fills `buf` with random bytes.

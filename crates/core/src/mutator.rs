@@ -9,19 +9,19 @@
 //! garbage tail is appended without updating the dependent length fields —
 //! exactly the mutation of the paper's Fig. 7 example.
 
-use btcore::{FrameBuf, FuzzRng, Identifier, LinkType};
+use btcore::{Cid, FrameBuf, FrameWriter, FuzzRng, Identifier, LinkType};
 use l2cap::code::CommandCode;
 use l2cap::fields::{self, FieldClass, FieldName};
-use l2cap::packet::SignalingPacket;
+use l2cap::packet::{L2capFrame, SignalingPacket};
 use l2cap::ranges;
 
 use crate::guide::ChannelContext;
 
 /// The core-field mutator.
 ///
-/// Packets are mutated in place inside the frame builder's reused scratch
-/// buffer ([`FrameBuf::build`]) and copied out once, so a steady-state
-/// campaign performs no per-packet allocation here.
+/// Each test packet is written once, in place, as the C-frame payload of the
+/// [`L2capFrame`] it is sent in ([`FrameBuf::build`]), so a steady-state
+/// campaign performs no per-packet allocation or copy here.
 #[derive(Debug)]
 pub struct CoreFieldMutator {
     rng: FuzzRng,
@@ -81,25 +81,25 @@ impl CoreFieldMutator {
     }
 
     /// Builds one malformed packet for `code` in the given channel context
-    /// (Algorithm 1, inner loop body).
+    /// (Algorithm 1, inner loop body), as the signalling frame it is sent
+    /// in.
     pub fn mutate(
         &mut self,
         code: CommandCode,
         ctx: &ChannelContext,
         identifier: Identifier,
-    ) -> SignalingPacket {
-        packet_from_wire(FrameBuf::build(|buf| {
+    ) -> L2capFrame {
+        signaling(FrameBuf::build(|buf| {
             self.write_mutation(buf, code, ctx, identifier)
         }))
     }
 
     /// Writes the full C-frame of one mutated packet into `buf` (handed over
     /// empty): four zero header bytes patched at the end, then the data
-    /// fields.  Keeping the wire form contiguous lets `to_frame` later
-    /// re-frame the packet without encoding it again.
+    /// fields.
     fn write_mutation(
         &mut self,
-        buf: &mut Vec<u8>,
+        buf: &mut FrameWriter,
         code: CommandCode,
         ctx: &ChannelContext,
         identifier: Identifier,
@@ -217,7 +217,7 @@ impl CoreFieldMutator {
         };
 
         // Patch the C-frame header so the buffer holds the complete wire
-        // form; the packet's data field will be a view past it.
+        // form.
         buf[0] = code.value();
         buf[1] = identifier.value();
         buf[2..4].copy_from_slice(&declared_data_len.to_le_bytes());
@@ -231,7 +231,7 @@ impl CoreFieldMutator {
         n: usize,
         ctx: &ChannelContext,
         mut identifier: Identifier,
-    ) -> Vec<SignalingPacket> {
+    ) -> Vec<L2capFrame> {
         let mut out = Vec::with_capacity(commands.len() * n);
         for code in commands {
             for _ in 0..n {
@@ -254,7 +254,7 @@ impl CoreFieldMutator {
         wire: &[u8],
         ctx: &ChannelContext,
         identifier: Identifier,
-    ) -> SignalingPacket {
+    ) -> L2capFrame {
         rebuild_wire(wire, identifier, |buf| {
             let Some(code) = CommandCode::from_u8(buf[0]) else {
                 return;
@@ -293,7 +293,7 @@ impl CoreFieldMutator {
     /// retained packet's wire form.  The declared length bytes are left as
     /// retained, so edits that change the physical length produce the
     /// length-inconsistent shapes real parsers trip over.
-    pub fn havoc(&mut self, wire: &[u8], identifier: Identifier) -> SignalingPacket {
+    pub fn havoc(&mut self, wire: &[u8], identifier: Identifier) -> L2capFrame {
         rebuild_wire(wire, identifier, |buf| {
             let edits = self.rng.range_usize(1, 3);
             for _ in 0..edits {
@@ -322,7 +322,7 @@ impl CoreFieldMutator {
     /// data, under `a`'s command code and declared length.  Crossing over
     /// two packets that each reached something keeps both halves'
     /// interesting bytes in play.
-    pub fn splice(&mut self, a: &[u8], b: &[u8], identifier: Identifier) -> SignalingPacket {
+    pub fn splice(&mut self, a: &[u8], b: &[u8], identifier: Identifier) -> L2capFrame {
         rebuild_wire(&a[..a.len().min(4)], identifier, |buf| {
             let data_a = if a.len() > 4 { &a[4..] } else { &[][..] };
             let data_b = if b.len() > 4 { &b[4..] } else { &[][..] };
@@ -362,9 +362,9 @@ impl CoreFieldMutator {
 fn rebuild_wire(
     head: &[u8],
     identifier: Identifier,
-    edit: impl FnOnce(&mut Vec<u8>),
-) -> SignalingPacket {
-    packet_from_wire(FrameBuf::build(|buf| {
+    edit: impl FnOnce(&mut FrameWriter),
+) -> L2capFrame {
+    signaling(FrameBuf::build(|buf| {
         buf.extend_from_slice(head);
         if buf.len() < 4 {
             buf.resize(4, 0);
@@ -374,15 +374,10 @@ fn rebuild_wire(
     }))
 }
 
-/// Wraps a finished C-frame wire form (at least four bytes) into a packet
-/// whose data field is a view past the header.
-fn packet_from_wire(wire: FrameBuf) -> SignalingPacket {
-    SignalingPacket {
-        identifier: Identifier(wire[1]),
-        code: wire[0],
-        declared_data_len: u16::from_le_bytes([wire[2], wire[3]]),
-        data: wire.slice(4..),
-    }
+/// Sends a finished C-frame (at least four bytes) on the signalling
+/// channel, its payload length consistent.
+fn signaling(c_frame: FrameBuf) -> L2capFrame {
+    L2capFrame::new(Cid::SIGNALING, c_frame)
 }
 
 fn write_field(data: &mut [u8], offset: usize, width: usize, value: u16) {
@@ -399,12 +394,19 @@ fn write_field(data: &mut [u8], offset: usize, width: usize, value: u16) {
 mod tests {
     use super::*;
     use btcore::codec::hex_dump;
-    use btcore::{Cid, Psm};
+    use btcore::Psm;
     use l2cap::command::Command;
     use l2cap::jobs::Job;
+    use l2cap::packet::{parse_signaling, SignalingView};
 
     fn mutator() -> CoreFieldMutator {
         CoreFieldMutator::new(FuzzRng::seed_from(42))
+    }
+
+    /// The C-frame a mutated packet's frame carries, read in place.
+    fn view(frame: &L2capFrame) -> SignalingView<'_> {
+        assert!(frame.cid.is_signaling() && frame.is_length_consistent());
+        parse_signaling(frame).expect("a mutated packet is a whole C-frame")
     }
 
     fn ctx_with_channel() -> ChannelContext {
@@ -419,13 +421,14 @@ mod tests {
     fn mutated_connection_request_has_abnormal_psm_and_garbage() {
         let mut m = mutator();
         for i in 0..200u8 {
-            let pkt = m.mutate(
+            let frame = m.mutate(
                 CommandCode::ConnectionRequest,
                 &ChannelContext::closed(Psm::SDP),
                 Identifier(i.max(1)),
             );
+            let pkt = view(&frame);
             assert_eq!(pkt.code, 0x02);
-            let core = fields::extract_core_values(CommandCode::ConnectionRequest, &pkt.data);
+            let core = fields::extract_core_values(CommandCode::ConnectionRequest, pkt.data);
             assert!(ranges::is_abnormal_psm(core.psm.unwrap()));
             assert!(core.cidp.iter().all(|c| ranges::is_cidp_range(*c)));
             assert!(pkt.garbage_len() > 0, "garbage must be appended");
@@ -439,9 +442,9 @@ mod tests {
     fn mutated_packets_are_classified_as_malformed() {
         let mut m = mutator();
         for code in Job::Configuration.valid_commands() {
-            let pkt = m.mutate(code, &ctx_with_channel(), Identifier(1));
+            let frame = m.mutate(code, &ctx_with_channel(), Identifier(1));
             assert!(
-                sniffer_is_malformed(&pkt),
+                sniffer_is_malformed(view(&frame)),
                 "{code} mutation must look malformed"
             );
         }
@@ -450,14 +453,14 @@ mod tests {
     // Minimal local re-implementation of the sniffer's notion of malformed
     // (garbage, abnormal PSM or broken structure) to avoid a circular
     // dev-dependency.
-    fn sniffer_is_malformed(pkt: &SignalingPacket) -> bool {
+    fn sniffer_is_malformed(pkt: SignalingView<'_>) -> bool {
         if pkt.garbage_len() > 0 || !pkt.is_length_consistent() {
             return true;
         }
         let Some(code) = CommandCode::from_u8(pkt.code) else {
             return true;
         };
-        let core = fields::extract_core_values(code, &pkt.data);
+        let core = fields::extract_core_values(code, pkt.data);
         core.psm.map(ranges::is_abnormal_psm).unwrap_or(false)
             || matches!(pkt.command(), Command::Raw { .. })
     }
@@ -465,13 +468,13 @@ mod tests {
     #[test]
     fn application_fields_keep_defaults_in_core_only_mode() {
         let mut m = mutator();
-        let pkt = m.mutate(
+        let frame = m.mutate(
             CommandCode::ConnectionResponse,
             &ChannelContext::closed(Psm::SDP),
             Identifier(1),
         );
         // Result and status (offsets 4..8) stay at default zero.
-        assert_eq!(&pkt.data[4..8], &[0, 0, 0, 0]);
+        assert_eq!(&view(&frame).data[4..8], &[0, 0, 0, 0]);
     }
 
     #[test]
@@ -479,12 +482,12 @@ mod tests {
         let mut m = CoreFieldMutator::with_options(FuzzRng::seed_from(1), false, true, 8);
         let mut saw_wrong_len = false;
         for i in 1..=50u8 {
-            let pkt = m.mutate(
+            let frame = m.mutate(
                 CommandCode::ConnectionRequest,
                 &ChannelContext::closed(Psm::SDP),
                 Identifier(i),
             );
-            if usize::from(pkt.declared_data_len) != 4 {
+            if usize::from(view(&frame).declared_data_len) != 4 {
                 saw_wrong_len = true;
             }
         }
@@ -497,11 +500,12 @@ mod tests {
     #[test]
     fn no_garbage_when_disabled() {
         let mut m = CoreFieldMutator::with_options(FuzzRng::seed_from(1), true, false, 16);
-        let pkt = m.mutate(
+        let frame = m.mutate(
             CommandCode::ConnectionRequest,
             &ChannelContext::closed(Psm::SDP),
             Identifier(1),
         );
+        let pkt = view(&frame);
         assert_eq!(pkt.garbage_len(), 0);
         assert!(pkt.is_length_consistent());
     }
@@ -513,7 +517,7 @@ mod tests {
         let packets = m.generate(&cmds, 5, &ctx_with_channel(), Identifier(1));
         assert_eq!(packets.len(), cmds.len() * 5);
         // Identifiers are all valid and advance.
-        assert!(packets.iter().all(|p| p.identifier.is_valid()));
+        assert!(packets.iter().all(|p| view(p).identifier.is_valid()));
     }
 
     #[test]
@@ -524,7 +528,7 @@ mod tests {
         let reused = packets
             .iter()
             .filter(|p| {
-                fields::extract_core_values(CommandCode::ConfigureRequest, &p.data)
+                fields::extract_core_values(CommandCode::ConfigureRequest, view(p).data)
                     .cidp
                     .contains(&ctx.dcid.value())
             })
@@ -541,20 +545,21 @@ mod tests {
         let mut m = mutator();
         m.set_link(btcore::LinkType::Le);
         for i in 0..200u8 {
-            let pkt = m.mutate(
+            let frame = m.mutate(
                 CommandCode::LeCreditBasedConnectionRequest,
                 &ChannelContext::closed(Psm::EATT),
                 Identifier(i.max(1)),
             );
+            let pkt = view(&frame);
             let le =
-                fields::extract_le_values(CommandCode::LeCreditBasedConnectionRequest, &pkt.data);
+                fields::extract_le_values(CommandCode::LeCreditBasedConnectionRequest, pkt.data);
             assert!(ranges::is_abnormal_spsm(le.spsm.unwrap()));
             assert!(ranges::is_abnormal_credits(le.credits.unwrap()));
             assert!(ranges::is_abnormal_le_mtu(le.mtu.unwrap()));
             assert!(ranges::is_abnormal_le_mtu(le.mps.unwrap()));
             // The CIDP field is still mutated like any core field.
             let core =
-                fields::extract_core_values(CommandCode::LeCreditBasedConnectionRequest, &pkt.data);
+                fields::extract_core_values(CommandCode::LeCreditBasedConnectionRequest, pkt.data);
             assert!(core.cidp.iter().all(|c| ranges::is_cidp_range(*c)));
             assert!(pkt.garbage_len() > 0);
         }
@@ -565,11 +570,12 @@ mod tests {
         // On a classic link the LE credit fields are plain MA fields and must
         // stay zero, byte-identical to the pre-link-aware mutator.
         let mut m = mutator();
-        let pkt = m.mutate(
+        let frame = m.mutate(
             CommandCode::LeCreditBasedConnectionRequest,
             &ChannelContext::closed(Psm::SDP),
             Identifier(1),
         );
+        let pkt = view(&frame);
         // SPSM (0..2), MTU (4..6), MPS (6..8), credits (8..10) all default.
         assert_eq!(&pkt.data[0..2], &[0, 0]);
         assert_eq!(&pkt.data[4..10], &[0, 0, 0, 0, 0, 0]);
@@ -583,12 +589,12 @@ mod tests {
         let mut saw_ertm = false;
         let mut saw_streaming = false;
         for i in 1..=64u8 {
-            let pkt = m.mutate(
+            let frame = m.mutate(
                 CommandCode::ConfigureRequest,
                 &ctx_with_channel(),
                 Identifier(i),
             );
-            let rfc = ConfigOption::scan_rfc_option(&pkt.data[4..])
+            let rfc = ConfigOption::scan_rfc_option(&view(&frame).data[4..])
                 .expect("mutated config request must carry an RFC option");
             assert!(matches!(rfc.mode, 3 | 4), "mode must be ERTM or streaming");
             assert_eq!(rfc.tx_window, 0, "transmit window must be abnormal");
@@ -599,12 +605,12 @@ mod tests {
         assert!(saw_ertm && saw_streaming, "both modes must be drawn");
         // Disabled (the default), no option is appended.
         let mut m = mutator();
-        let pkt = m.mutate(
+        let frame = m.mutate(
             CommandCode::ConfigureRequest,
             &ctx_with_channel(),
             Identifier(1),
         );
-        assert_eq!(ConfigOption::scan_rfc_option(&pkt.data[4..]), None);
+        assert_eq!(ConfigOption::scan_rfc_option(&view(&frame).data[4..]), None);
     }
 
     #[test]
@@ -616,7 +622,7 @@ mod tests {
         );
         // The mutation leaves the dependent PAYLOAD LEN field untouched as
         // well, so the on-air frame keeps declaring 12 payload bytes.
-        let mutated_frame = l2cap::packet::L2capFrame {
+        let mutated_frame = L2capFrame {
             declared_payload_len: 0x000C,
             cid: Cid::SIGNALING,
             payload: mutated.to_bytes().into(),

@@ -15,7 +15,7 @@
 use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::command::Command;
-use l2cap::packet::{parse_signaling, L2capFrame, SignalingPacket, SignalingView};
+use l2cap::packet::{parse_signaling, L2capFrame, SignalingView};
 
 /// What happened when a test packet was transmitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,15 +39,15 @@ impl<'a> SendOutcome<'a> {
     }
 }
 
-/// Sends one packet over the link and classifies the answers.  The packet is
-/// framed (for a small frame, without allocating) and stays the caller's.
+/// Sends one test packet, the frame as the mutator wrote it, over the link
+/// and classifies the answers.  The frame stays the caller's.
 ///
 /// An answer counts as a rejection when its code byte is Command Reject and
 /// its payload has that command's structure, which is exactly when it would
 /// decode to a typed `CommandReject`.
-pub fn send<'a>(link: &'a mut LinkHandle, packet: &SignalingPacket) -> SendOutcome<'a> {
+pub fn send<'a>(link: &'a mut LinkHandle, packet: &L2capFrame) -> SendOutcome<'a> {
     let mut outcome = SendOutcome {
-        responses: link.send_frame(&packet.to_frame()),
+        responses: link.send_frame(packet),
         rejected: false,
         silent: true,
     };
@@ -70,6 +70,7 @@ mod tests {
     use hci::link::LinkConfig;
     use hci::medium::EventMedium;
     use l2cap::command::ConnectionRequest;
+    use l2cap::packet::{signaling_frame, SignalingPacket};
 
     fn link() -> LinkHandle {
         let clock = SimClock::new();
@@ -87,7 +88,7 @@ mod tests {
         // Undefined command code gets "command not understood".
         let outcome = send(
             &mut link,
-            &SignalingPacket::from_raw(Identifier(1), 0x7F, vec![]),
+            &SignalingPacket::from_raw(Identifier(1), 0x7F, vec![]).into_frame(),
         );
         assert!(outcome.rejected);
     }
@@ -97,9 +98,9 @@ mod tests {
         let mut link = link();
         let outcome = send(
             &mut link,
-            &SignalingPacket::new(
+            &signaling_frame(
                 Identifier(3),
-                Command::ConnectionRequest(ConnectionRequest {
+                &Command::ConnectionRequest(ConnectionRequest {
                     psm: Psm::SDP,
                     scid: Cid(0x0040),
                 }),

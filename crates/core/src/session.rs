@@ -11,7 +11,7 @@ use btcore::{DeviceMeta, FuzzRng, Identifier, LinkType, SimClock, TargetOracle};
 use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
-use l2cap::packet::SignalingPacket;
+use l2cap::packet::{parse_signaling, L2capFrame};
 use l2cap::state::ChannelState;
 
 use crate::config::FuzzConfig;
@@ -71,12 +71,13 @@ pub trait Strategy: Send {
     /// packet.
     fn enter(&mut self, _at: &mut Parked<'_>) {}
 
-    /// The `index`-th test packet of the parked state.  The loop asks for
-    /// the indices in order, from 0, once each.
-    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket;
+    /// The `index`-th test packet of the parked state, as the signalling
+    /// frame it is sent in.  The loop asks for the indices in order, from 0,
+    /// once each.
+    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> L2capFrame;
 
     /// Called with each test packet's exchange, before the detector runs.
-    fn learn(&mut self, _at: &Parked<'_>, _packet: &SignalingPacket, _outcome: &SendOutcome<'_>) {}
+    fn learn(&mut self, _at: &Parked<'_>, _packet: &L2capFrame, _outcome: &SendOutcome<'_>) {}
 }
 
 /// The paper's engine: every initiator-reachable state in canonical order,
@@ -124,7 +125,7 @@ impl Strategy for Dictionary {
         self.identifier = at.guide.next_identifier();
     }
 
-    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> SignalingPacket {
+    fn packet(&mut self, at: &mut Parked<'_>, index: u64) -> L2capFrame {
         let code = at.commands[index as usize / self.per_command];
         let packet = at.mutator.mutate(code, &at.channel, self.identifier);
         self.identifier = self.identifier.next();
@@ -261,12 +262,14 @@ impl L2FuzzSession {
                     None => detector.check(link, None, silent),
                 };
                 if let DetectionVerdict::Vulnerable(evidence) = verdict {
+                    let sent = parse_signaling(&packet).ok();
                     let finding = VulnerabilityFinding {
                         state,
                         job,
-                        command: CommandCode::from_u8(packet.code)
+                        command: sent
+                            .and_then(|p| CommandCode::from_u8(p.code))
                             .unwrap_or(CommandCode::CommandReject),
-                        packet_hex: btcore::codec::hex_dump(&packet.to_bytes()),
+                        packet_hex: btcore::codec::hex_dump(&packet.payload),
                         evidence,
                         elapsed_secs: self.clock.now().as_secs().saturating_sub(started),
                     };
@@ -474,7 +477,7 @@ mod tests {
             mutator: &mut mutator,
         };
         dictionary.enter(&mut at);
-        let drawn: Vec<SignalingPacket> = (0..expected.len() as u64)
+        let drawn: Vec<L2capFrame> = (0..expected.len() as u64)
             .map(|index| dictionary.packet(&mut at, index))
             .collect();
         assert_eq!(drawn, expected);

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use btcore::{FuzzRng, LinkType};
 use hci::link::Direction;
-use l2cap::packet::SignalingPacket;
+use l2cap::packet::{parse_signaling, L2capFrame};
 use l2cap::state::ChannelState;
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::{FuzzCtx, Fuzzer};
@@ -201,40 +201,47 @@ impl Strategy for Feedback {
     /// A corpus replay (resend / havoc / splice) with probability
     /// `corpus_ratio` when the state has retained entries, a dictionary
     /// mutation otherwise; each packet takes its own guide identifier.
-    fn packet(&mut self, at: &mut Parked<'_>, _index: u64) -> SignalingPacket {
+    ///
+    /// Entries are chosen by counting and indexing the corpus, with the
+    /// draws [`FuzzRng::pick`] makes over the same entries, so choosing
+    /// allocates nothing.
+    fn packet(&mut self, at: &mut Parked<'_>, _index: u64) -> L2capFrame {
         let identifier = at.guide.next_identifier();
         let rng = &mut self.pick;
-        let here: Vec<&CorpusEntry> = self.corpus.entries_for(at.state, at.link).collect();
-        if !here.is_empty() && rng.chance(self.corpus_ratio) {
-            let base = *rng.pick(&here);
-            match rng.range_usize(0, 2) {
-                0 => at
-                    .mutator
-                    .resend_with_field_mutation(&base.wire, &at.channel, identifier),
-                1 => at.mutator.havoc(&base.wire, identifier),
-                _ => {
-                    // Splice against any retained packet of this link, not
-                    // just this state — crossing parks is where splice earns
-                    // its keep.
-                    let partners: Vec<&CorpusEntry> = self
-                        .corpus
-                        .entries()
-                        .iter()
-                        .filter(|e| e.link == at.link)
-                        .collect();
-                    let partner = *rng.pick(&partners);
-                    at.mutator.splice(&base.wire, &partner.wire, identifier)
-                }
-            }
+        let (state, link) = (at.state, at.link);
+        let here = self.corpus.entries_for(state, link).count();
+        let base = if here > 0 && rng.chance(self.corpus_ratio) {
+            self.corpus.entries_for(state, link).nth(rng.index(here))
         } else {
+            None
+        };
+        let Some(base) = base else {
             let code = *rng.pick(at.commands);
-            at.mutator.mutate(code, &at.channel, identifier)
+            return at.mutator.mutate(code, &at.channel, identifier);
+        };
+        match rng.range_usize(0, 2) {
+            0 => at
+                .mutator
+                .resend_with_field_mutation(&base.wire, &at.channel, identifier),
+            1 => at.mutator.havoc(&base.wire, identifier),
+            _ => {
+                // Splice against any retained packet of this link, not just
+                // this state — crossing parks is where splice earns its
+                // keep.  The base is one of them, so there is at least one.
+                let partners = || self.corpus.entries().iter().filter(|e| e.link == link);
+                let partner = partners()
+                    .nth(rng.index(partners().count()))
+                    .unwrap_or(base);
+                at.mutator.splice(&base.wire, &partner.wire, identifier)
+            }
         }
     }
 
-    fn learn(&mut self, at: &Parked<'_>, packet: &SignalingPacket, outcome: &SendOutcome<'_>) {
+    fn learn(&mut self, at: &Parked<'_>, packet: &L2capFrame, outcome: &SendOutcome<'_>) {
         self.coverage.saw_tx_signaling();
-        self.coverage.observe(Direction::Tx, packet.view());
+        if let Ok(sent) = parse_signaling(packet) {
+            self.coverage.observe(Direction::Tx, sent);
+        }
         // Each answer is read once, in place, for coverage and for its class.
         let mut refused = false;
         for reply in outcome.signaling() {
@@ -249,9 +256,98 @@ impl Strategy for Feedback {
             self.corpus.consider(CorpusEntry {
                 state: at.state,
                 link: at.link,
-                wire: packet.to_bytes(),
+                wire: packet.payload.to_vec(),
                 key,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alloc_counter::thread_allocations;
+    use btcore::{Cid, FrameBuf, Identifier, Psm};
+    use l2cap::code::CommandCode;
+    use l2fuzz::guide::{ChannelContext, StateGuide};
+    use l2fuzz::mutator::CoreFieldMutator;
+
+    /// A feedback round whose park has retained entries draws its test
+    /// packets — fresh mutations and replays by resend, havoc and splice —
+    /// without a heap allocation: entries are chosen by count and index, and
+    /// each packet is written in place into its frame.
+    #[test]
+    fn a_round_with_a_corpus_builds_its_test_packets_without_allocating() {
+        let channel = ChannelContext {
+            scid: Cid(0x0040),
+            dcid: Cid(0x0041),
+            psm: Psm::SDP,
+        };
+        // Retained packets from three parks and both links, so the park's
+        // entries and the splice partners are each a filtered subset.
+        let mut seeds = CoreFieldMutator::new(FuzzRng::seed_from(5));
+        let mut corpus = FeedbackCorpus::new();
+        use ChannelState::{Closed, Open};
+        use LinkType::{BrEdr, Le};
+        let retained = [
+            (Closed, BrEdr, CommandCode::ConnectionRequest),
+            (Open, BrEdr, CommandCode::ConfigureRequest),
+            (Closed, Le, CommandCode::LeCreditBasedConnectionRequest),
+            (Closed, BrEdr, CommandCode::InformationRequest),
+            (Open, BrEdr, CommandCode::DisconnectionRequest),
+        ];
+        for (signature, (state, link, code)) in (0..).zip(retained) {
+            let frame = seeds.mutate(code, &channel, Identifier(1));
+            corpus.consider(CorpusEntry {
+                state,
+                link,
+                wire: frame.payload.to_vec(),
+                key: NoveltyKey {
+                    signature,
+                    class: ResponseClass::Rejected,
+                },
+            });
+        }
+        let mut strategy = Feedback {
+            round_budget: 300,
+            corpus_ratio: 0.5,
+            corpus,
+            visits: BTreeMap::new(),
+            pick: FuzzRng::seed_from(0),
+            coverage: CoverageBuilder::default(),
+        };
+        strategy.walk(
+            &FuzzConfig::default(),
+            LinkType::BrEdr,
+            &mut FuzzRng::seed_from(9),
+        );
+        // A garbage bound of 8 keeps every operator's output, havoc's three
+        // extensions included, within the inline capacity.
+        let mut mutator = CoreFieldMutator::with_options(FuzzRng::seed_from(6), true, true, 8);
+        let mut guide = StateGuide::new();
+        let commands = [CommandCode::ConnectionRequest, CommandCode::EchoRequest];
+        let mut at = Parked {
+            state: ChannelState::Closed,
+            link: LinkType::BrEdr,
+            channel,
+            commands: &commands,
+            guide: &mut guide,
+            mutator: &mut mutator,
+        };
+
+        const PACKETS: u64 = 1_000;
+        let mut codes = [0u64; 256];
+        let before = thread_allocations();
+        for index in 0..PACKETS {
+            let frame = strategy.packet(&mut at, index);
+            assert!(frame.payload.len() <= FrameBuf::INLINE_CAPACITY);
+            codes[usize::from(frame.payload[0])] += 1;
+        }
+        let made = thread_allocations() - before;
+        assert_eq!(made, 0, "{PACKETS} test packets made {made} allocations");
+        // Both sources ran: the dictionary's echo requests, and replays of
+        // the park's retained information request.
+        assert!(codes[usize::from(CommandCode::EchoRequest.value())] > 100);
+        assert!(codes[usize::from(CommandCode::InformationRequest.value())] > 100);
     }
 }

@@ -48,6 +48,11 @@ pub use fuzzer::{FeedbackConfig, FeedbackFuzzer};
 pub use hub::CorpusHub;
 pub use schedule::{EnergyAllocation, EnergySchedule};
 
+// The unit tests count the allocations of their own thread.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
 use l2fuzz::campaign::CampaignBuilder;
 use l2fuzz::Fuzzer;
 

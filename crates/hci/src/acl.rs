@@ -6,7 +6,7 @@
 //! larger than the controller's ACL buffer are fragmented across several ACL
 //! packets and reassembled on the other side using the boundary flag.
 
-use btcore::{ByteReader, ByteWriter, CodecError, ConnectionHandle, FrameBuf};
+use btcore::{ByteReader, ByteSink, CodecError, ConnectionHandle, FrameBuf};
 
 /// HCI packet type byte for ACL data packets.
 pub const ACL_DATA_PACKET_TYPE: u8 = 0x02;
@@ -72,7 +72,7 @@ pub struct AclPacket {
 impl AclPacket {
     /// Serializes the packet including the HCI packet-type byte.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(5 + self.data.len());
+        let mut w = Vec::with_capacity(5 + self.data.len());
         w.write_u8(ACL_DATA_PACKET_TYPE);
         let handle_and_flags = (self.handle.value() & 0x0FFF)
             | (self.boundary.bits() << 12)
@@ -80,7 +80,7 @@ impl AclPacket {
         w.write_u16(handle_and_flags);
         w.write_u16(self.data.len() as u16);
         w.write_bytes(&self.data);
-        w.into_bytes()
+        w
     }
 
     /// Parses an ACL packet from raw bytes.

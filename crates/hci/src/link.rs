@@ -136,4 +136,11 @@ mod tests {
         assert_eq!(tap.lock()[0].direction, Direction::Tx);
         assert_eq!(tap.lock()[1].direction, Direction::Rx);
     }
+
+    #[test]
+    fn a_tap_record_keeps_its_frame_inline_in_80_bytes() {
+        // Every exchange copies its frames into tap records by value, and
+        // trace replays clone them again: the record stays this small.
+        assert_eq!(std::mem::size_of::<PacketRecord>(), 80);
+    }
 }

@@ -8,7 +8,7 @@
 //! fields — exactly what L2Fuzz's garbage-appending mutation produces — are
 //! tolerated on decode, mirroring how lenient real stacks parse such packets.
 
-use btcore::{ByteReader, ByteWriter, Cid, Psm};
+use btcore::{ByteReader, ByteSink, Cid, Psm};
 
 use crate::code::CommandCode;
 use crate::consts::{ConfigureResult, ConnectionResult, MoveResult, RejectReason};
@@ -397,11 +397,10 @@ impl Command {
         out
     }
 
-    /// Appends the command's data fields to `out` (which is *not* cleared) —
-    /// the allocation-free encoding path shared by [`Command::encode_data`]
-    /// and the frame builders.
-    pub fn encode_data_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::wrap(std::mem::take(out));
+    /// Appends the command's data fields to `w` — the one encoder of every
+    /// command, shared by [`Command::encode_data`] (into a vector) and the
+    /// frame builders (into the frame, in place).
+    pub fn encode_data_into(&self, w: &mut impl ByteSink) {
         match self {
             Command::CommandReject(c) => {
                 w.write_u16(c.reason.value());
@@ -421,7 +420,7 @@ impl Command {
                 w.write_u16(c.dcid.value());
                 w.write_u16(c.flags);
                 for opt in &c.options {
-                    opt.encode(&mut w);
+                    opt.encode(w);
                 }
             }
             Command::ConfigureResponse(c) => {
@@ -429,7 +428,7 @@ impl Command {
                 w.write_u16(c.flags);
                 w.write_u16(c.result.value());
                 for opt in &c.options {
-                    opt.encode(&mut w);
+                    opt.encode(w);
                 }
             }
             Command::DisconnectionRequest(c) => {
@@ -527,7 +526,6 @@ impl Command {
             Command::CreditBasedReconfigureResponse(c) => w.write_u16(c.result),
             Command::Raw { data, .. } => w.write_bytes(data),
         }
-        *out = w.into_bytes();
     }
 
     /// Decodes a command from its code byte and data fields.

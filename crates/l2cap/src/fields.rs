@@ -11,6 +11,15 @@
 //! [`FieldSpec`] layouts of the data fields of every signalling command, so a
 //! mutator can locate and patch `MC` bytes inside an encoded payload without
 //! disturbing anything else.
+//!
+//! The per-packet readers — [`extract_core_values`], [`extract_le_values`],
+//! [`garbage_len`] and [`min_data_len`], called by the mutator, the
+//! simulated endpoints and every sniffer pass — do not scan a layout.  A
+//! `const` table, derived at compile time from [`data_field_layout`], holds
+//! one entry per command code: the offsets and widths of its PSM, CIDP,
+//! SPSM, MTU, MPS and credit fields, its minimum data length and whether
+//! its layout ends in a variable tail.  Each reader is one indexed load and
+//! the reads of the fields the entry names.
 
 use std::fmt;
 
@@ -177,10 +186,10 @@ impl FieldSpec {
 /// of the command's data fields, i.e. after CODE / ID / DATA LEN).
 ///
 /// The layouts are constant tables: the slice is `'static` and this function
-/// never allocates, which matters because the mutator, the simulated
-/// endpoints and the trace classifiers all consult layouts on their
-/// per-packet hot paths.
-pub fn data_field_layout(code: CommandCode) -> &'static [FieldSpec] {
+/// never allocates, which matters because the mutator walks a layout for
+/// every packet it writes.  The per-packet field readers go through the
+/// field table derived from these layouts instead.
+pub const fn data_field_layout(code: CommandCode) -> &'static [FieldSpec] {
     use FieldName as N;
     match code {
         CommandCode::CommandReject => {
@@ -472,29 +481,21 @@ pub struct CoreFieldValues {
 
 /// Extracts the mutable-core field values (PSM and CIDP) from an encoded
 /// data-field byte slice, using the command's layout.  Truncated fields are
-/// simply absent from the result; this never fails.
+/// simply absent from the result; this never fails.  A variable-length
+/// CIDP tail contributes its first two bytes.
+#[inline]
 pub fn extract_core_values(code: CommandCode, data: &[u8]) -> CoreFieldValues {
-    let mut out = CoreFieldValues::default();
-    for spec in data_field_layout(code) {
-        if spec.class() != FieldClass::MutableCore {
-            continue;
-        }
-        let width = spec.len.unwrap_or(2);
-        if data.len() < spec.offset + width {
-            continue;
-        }
-        let value = if width == 1 {
-            u16::from(data[spec.offset])
-        } else {
-            u16::from_le_bytes([data[spec.offset], data[spec.offset + 1]])
-        };
-        if spec.name == FieldName::Psm {
-            out.psm = Some(value);
-        } else {
-            out.cidp.push(value);
+    let fields = CodeFields::of(code);
+    let mut cidp = CidpValues::default();
+    for slot in &fields.cidp[..usize::from(fields.cidp_len)] {
+        if let Some(value) = slot.read(data) {
+            cidp.push(value);
         }
     }
-    out
+    CoreFieldValues {
+        psm: fields.psm.read(data),
+        cidp,
+    }
 }
 
 /// The LE credit-based channel values carried by one encoded command payload
@@ -516,47 +517,149 @@ pub struct LeFieldValues {
 /// Extracts the LE credit-based field values (SPSM/MTU/MPS/credits) from an
 /// encoded data-field byte slice, using the command's layout.  Truncated
 /// fields are simply absent; this never fails and never allocates.
+#[inline]
 pub fn extract_le_values(code: CommandCode, data: &[u8]) -> LeFieldValues {
-    let mut out = LeFieldValues::default();
-    for spec in data_field_layout(code) {
-        let slot = match spec.name {
-            FieldName::Spsm => &mut out.spsm,
-            FieldName::Mtu => &mut out.mtu,
-            FieldName::Mps => &mut out.mps,
-            FieldName::Credit => &mut out.credits,
-            _ => continue,
-        };
-        let width = spec.len.unwrap_or(2);
-        if width == 2 && data.len() >= spec.offset + 2 {
-            *slot = Some(u16::from_le_bytes([
-                data[spec.offset],
-                data[spec.offset + 1],
-            ]));
-        }
+    let fields = CodeFields::of(code);
+    LeFieldValues {
+        spsm: fields.spsm.read(data),
+        mtu: fields.mtu.read(data),
+        mps: fields.mps.read(data),
+        credits: fields.credits.read(data),
     }
-    out
 }
 
 /// Number of bytes present beyond the command's defined data fields — the
 /// "garbage tail" appended by L2Fuzz's mutation (0 for spec-sized packets and
 /// for commands whose last field is variable-length).
+#[inline]
 pub fn garbage_len(code: CommandCode, data: &[u8]) -> usize {
-    let layout = data_field_layout(code);
-    if layout.last().map(|s| s.len.is_none()).unwrap_or(false) {
+    let fields = CodeFields::of(code);
+    if fields.variable_tail {
         // Variable-length tail swallows any extra bytes.
         return 0;
     }
-    data.len().saturating_sub(min_data_len(code))
+    data.len().saturating_sub(usize::from(fields.min_data_len))
 }
 
 /// Minimum number of data-field bytes a spec-conformant packet of this
 /// command carries (the sum of all fixed-width fields).
+#[inline]
 pub fn min_data_len(code: CommandCode) -> usize {
-    data_field_layout(code)
-        .iter()
-        .map(|s| s.offset + s.len.unwrap_or(0))
-        .max()
-        .unwrap_or(0)
+    usize::from(CodeFields::of(code).min_data_len)
+}
+
+/// Where one field the per-packet readers extract sits in a command's data
+/// bytes.  A width of 0 marks a field the command does not carry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: u8,
+    width: u8,
+}
+
+impl Slot {
+    const ABSENT: Slot = Slot {
+        offset: 0,
+        width: 0,
+    };
+
+    /// The field's value, widened to 16 bits, if `data` holds all of it.
+    #[inline]
+    fn read(self, data: &[u8]) -> Option<u16> {
+        let at = usize::from(self.offset);
+        match self.width {
+            1 => data.get(at).map(|&b| u16::from(b)),
+            2 => data
+                .get(at..at + 2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]])),
+            _ => None,
+        }
+    }
+}
+
+/// One command's entry in the field table: what [`data_field_layout`] says,
+/// laid out for the per-packet readers.
+#[derive(Debug, Clone, Copy)]
+struct CodeFields {
+    psm: Slot,
+    /// The CIDP fields in layout order; the first `cidp_len` are used.
+    cidp: [Slot; 4],
+    cidp_len: u8,
+    spsm: Slot,
+    mtu: Slot,
+    mps: Slot,
+    credits: Slot,
+    min_data_len: u8,
+    /// The layout ends in a variable-length field.
+    variable_tail: bool,
+}
+
+/// The field table, indexed by command code value (entry 0 is unused).
+const FIELD_TABLE: [CodeFields; 0x1B] = {
+    let mut table = [CodeFields::EMPTY; 0x1B];
+    let mut i = 0;
+    while i < CommandCode::ALL.len() {
+        let code = CommandCode::ALL[i];
+        table[code as usize] = CodeFields::derive(code);
+        i += 1;
+    }
+    table
+};
+
+impl CodeFields {
+    const EMPTY: CodeFields = CodeFields {
+        psm: Slot::ABSENT,
+        cidp: [Slot::ABSENT; 4],
+        cidp_len: 0,
+        spsm: Slot::ABSENT,
+        mtu: Slot::ABSENT,
+        mps: Slot::ABSENT,
+        credits: Slot::ABSENT,
+        min_data_len: 0,
+        variable_tail: false,
+    };
+
+    #[inline]
+    fn of(code: CommandCode) -> &'static CodeFields {
+        &FIELD_TABLE[code as usize]
+    }
+
+    /// Reads `code`'s layout once, at compile time: a variable-length tail
+    /// field reads two bytes, the LE fields are read only at width 2, and a
+    /// CIDP field past the fourth is dropped as [`CidpValues`] drops it.
+    const fn derive(code: CommandCode) -> CodeFields {
+        let layout = data_field_layout(code);
+        let mut out = CodeFields::EMPTY;
+        let mut i = 0;
+        while i < layout.len() {
+            let spec = layout[i];
+            let (width, end) = match spec.len {
+                Some(len) => (len, spec.offset + len),
+                None => (2, spec.offset),
+            };
+            let slot = Slot {
+                offset: spec.offset as u8,
+                width: width as u8,
+            };
+            match spec.name {
+                FieldName::Psm => out.psm = slot,
+                name if name.is_cidp() && out.cidp_len < 4 => {
+                    out.cidp[out.cidp_len as usize] = slot;
+                    out.cidp_len += 1;
+                }
+                FieldName::Spsm if width == 2 => out.spsm = slot,
+                FieldName::Mtu if width == 2 => out.mtu = slot,
+                FieldName::Mps if width == 2 => out.mps = slot,
+                FieldName::Credit if width == 2 => out.credits = slot,
+                _ => {}
+            }
+            if end > out.min_data_len as usize {
+                out.min_data_len = end as u8;
+            }
+            out.variable_tail = spec.len.is_none();
+            i += 1;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -797,6 +900,119 @@ mod tests {
         // Config request ends in a variable options field: no garbage concept.
         assert_eq!(garbage_len(CommandCode::EchoRequest, &[0; 40]), 0);
         assert_eq!(garbage_len(CommandCode::ConnectionResponse, &[0; 12]), 4);
+    }
+
+    /// Reference readers that scan the layout for each call, which the
+    /// table is checked against: every field read at its layout width, a
+    /// variable tail MC or LE field at two bytes.
+    mod scan {
+        use super::*;
+
+        pub fn core_values(code: CommandCode, data: &[u8]) -> CoreFieldValues {
+            let mut out = CoreFieldValues::default();
+            for spec in data_field_layout(code) {
+                if spec.class() != FieldClass::MutableCore {
+                    continue;
+                }
+                let width = spec.len.unwrap_or(2);
+                if data.len() < spec.offset + width {
+                    continue;
+                }
+                let value = if width == 1 {
+                    u16::from(data[spec.offset])
+                } else {
+                    u16::from_le_bytes([data[spec.offset], data[spec.offset + 1]])
+                };
+                if spec.name == FieldName::Psm {
+                    out.psm = Some(value);
+                } else {
+                    out.cidp.push(value);
+                }
+            }
+            out
+        }
+
+        pub fn le_values(code: CommandCode, data: &[u8]) -> LeFieldValues {
+            let mut out = LeFieldValues::default();
+            for spec in data_field_layout(code) {
+                let slot = match spec.name {
+                    FieldName::Spsm => &mut out.spsm,
+                    FieldName::Mtu => &mut out.mtu,
+                    FieldName::Mps => &mut out.mps,
+                    FieldName::Credit => &mut out.credits,
+                    _ => continue,
+                };
+                let width = spec.len.unwrap_or(2);
+                if width == 2 && data.len() >= spec.offset + 2 {
+                    *slot = Some(u16::from_le_bytes([
+                        data[spec.offset],
+                        data[spec.offset + 1],
+                    ]));
+                }
+            }
+            out
+        }
+
+        pub fn min_data_len(code: CommandCode) -> usize {
+            data_field_layout(code)
+                .iter()
+                .map(|s| s.offset + s.len.unwrap_or(0))
+                .max()
+                .unwrap_or(0)
+        }
+
+        pub fn garbage_len(code: CommandCode, data: &[u8]) -> usize {
+            let layout = data_field_layout(code);
+            if layout.last().map(|s| s.len.is_none()).unwrap_or(false) {
+                return 0;
+            }
+            data.len().saturating_sub(min_data_len(code))
+        }
+    }
+
+    #[test]
+    fn the_field_table_reads_what_a_layout_scan_reads() {
+        let mut rng = btcore::FuzzRng::seed_from(0x7AB1E);
+        let mut codes = 0;
+        for byte in 0..=u8::MAX {
+            let Some(code) = CommandCode::from_u8(byte) else {
+                continue;
+            };
+            codes += 1;
+            assert_eq!(min_data_len(code), scan::min_data_len(code), "{code}");
+            for len in 0..=64 {
+                for _ in 0..4 {
+                    let data = rng.bytes(len);
+                    assert_eq!(
+                        extract_core_values(code, &data),
+                        scan::core_values(code, &data),
+                        "{code}, {len} bytes"
+                    );
+                    assert_eq!(
+                        extract_le_values(code, &data),
+                        scan::le_values(code, &data),
+                        "{code}, {len} bytes"
+                    );
+                    assert_eq!(
+                        garbage_len(code, &data),
+                        scan::garbage_len(code, &data),
+                        "{code}, {len} bytes"
+                    );
+                }
+            }
+        }
+        assert_eq!(codes, CommandCode::ALL.len());
+        // The tail cases: a variable-length CIDP tail contributes its first
+        // two bytes, and swallows any extra ones.
+        let data = [
+            0x40, 0x00, 0x00, 0x02, 0x17, 0x00, 0x05, 0x00, 0x41, 0x00, 0x42,
+        ];
+        let code = CommandCode::CreditBasedConnectionRequest;
+        assert_eq!(extract_core_values(code, &data).cidp, vec![0x0041]);
+        assert!(extract_core_values(code, &data[..9]).cidp.is_empty());
+        assert_eq!(extract_le_values(code, &data).credits, Some(5));
+        assert_eq!(garbage_len(code, &data), 0);
+        assert_eq!(min_data_len(code), 8);
     }
 
     #[test]

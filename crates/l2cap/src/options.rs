@@ -6,7 +6,7 @@
 //! so that normal state-transition packets and the simulated target's own
 //! configuration requests are spec-conformant.
 
-use btcore::{ByteReader, ByteWriter, CodecError};
+use btcore::{ByteReader, ByteSink, CodecError};
 
 /// Default signalling MTU advertised in configuration requests (bytes).
 pub const DEFAULT_MTU: u16 = 672;
@@ -119,7 +119,7 @@ impl ConfigOption {
     }
 
     /// Encodes the option as a type/length/value triple.
-    pub fn encode(&self, w: &mut ByteWriter) {
+    pub fn encode(&self, w: &mut impl ByteSink) {
         w.write_u8(self.option_type());
         match self {
             ConfigOption::Mtu(mtu) => {
@@ -272,11 +272,11 @@ impl ConfigOption {
 
     /// Encodes a sequence of options into raw bytes.
     pub fn encode_all(options: &[ConfigOption]) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut out = Vec::new();
         for opt in options {
-            opt.encode(&mut w);
+            opt.encode(&mut out);
         }
-        w.into_bytes()
+        out
     }
 }
 

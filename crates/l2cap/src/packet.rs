@@ -13,14 +13,17 @@
 //! carries.  The codec must be able to represent, emit and re-parse such
 //! packets byte-exactly.
 //!
-//! A [`SignalingPacket`] owns its data and is what the fuzzers build and
-//! transmit.  Every reader of received or captured signalling bytes — the
-//! simulated acceptor, reply classification, the sniffer — gets a
-//! [`SignalingView`] from [`parse_signaling`] instead: the C-frame read in
-//! place, its data a borrow of the frame's payload, so reading a record
-//! copies no bytes.
+//! The fuzzers' test packets are written once, as the C-frame payload of the
+//! [`L2capFrame`] they are sent in.  A [`SignalingPacket`] owns its fields
+//! separately; it is how a packet is spelled out field by field (the
+//! baselines, the examples, tests) and framed with
+//! [`SignalingPacket::to_frame`].  Every reader of sent, received or
+//! captured signalling bytes — the simulated acceptor, reply classification,
+//! findings, the feedback corpus, the sniffer — gets a [`SignalingView`]
+//! from [`parse_signaling`]: the C-frame read in place, its data a borrow of
+//! the frame's payload, so reading a record copies no bytes.
 
-use btcore::{ByteReader, Cid, CodecError, FrameBuf, Identifier};
+use btcore::{ByteReader, ByteSink, Cid, CodecError, FrameBuf, Identifier};
 use serde::{Deserialize, Serialize};
 
 use crate::command::Command;
@@ -79,14 +82,12 @@ impl L2capFrame {
         out
     }
 
-    /// Serializes the frame into `out` (cleared first).  Lets transmit hot
-    /// paths reuse one scratch buffer instead of allocating per frame.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(4 + self.payload.len());
-        out.extend_from_slice(&self.declared_payload_len.to_le_bytes());
-        out.extend_from_slice(&self.cid.value().to_le_bytes());
-        out.extend_from_slice(&self.payload);
+    /// Appends the serialized frame to `out`, e.g. the
+    /// [`FrameWriter`](btcore::FrameWriter) of a buffer being built.
+    pub fn encode_into(&self, out: &mut impl ByteSink) {
+        out.write_u16(self.declared_payload_len);
+        out.write_u16(self.cid.value());
+        out.write_bytes(&self.payload);
     }
 
     /// Parses a frame from raw bytes.  The payload is everything after the
@@ -139,9 +140,9 @@ impl L2capFrame {
 /// length and the data-field bytes actually carried.
 ///
 /// Like [`L2capFrame::payload`], the data field is a [`FrameBuf`], so cloning
-/// a packet never allocates.  Readers of received bytes use the borrowing
-/// [`SignalingView`] instead; [`SignalingPacket::view`] reads an owned packet
-/// the same way.
+/// a packet never allocates.  Readers of sent or received bytes use the
+/// borrowing [`SignalingView`] instead; [`SignalingPacket::view`] reads an
+/// owned packet the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalingPacket {
     /// The packet identifier matching responses to requests.
@@ -155,8 +156,8 @@ pub struct SignalingPacket {
 }
 
 impl SignalingPacket {
-    /// Builds a well-formed signalling packet for `command`.  Its data is a
-    /// view into the encoded C-frame, so framing it needs no second encoding.
+    /// Builds a well-formed signalling packet for `command`; its data is a
+    /// view past the header of the encoded C-frame.
     pub fn new(identifier: Identifier, command: Command) -> Self {
         let wire = encode_c_frame(identifier, &command);
         SignalingPacket {
@@ -215,15 +216,13 @@ impl SignalingPacket {
         out
     }
 
-    /// Serializes the C-frame into `out` (cleared first); the single
-    /// serialization path every other encoder of this packet goes through.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(4 + self.data.len());
-        out.push(self.code);
-        out.push(self.identifier.value());
-        out.extend_from_slice(&self.declared_data_len.to_le_bytes());
-        out.extend_from_slice(&self.data);
+    /// Appends the C-frame to `out`; the single serialization path every
+    /// other encoder of this packet goes through.
+    pub fn encode_into(&self, out: &mut impl ByteSink) {
+        out.write_u8(self.code);
+        out.write_u8(self.identifier.value());
+        out.write_u16(self.declared_data_len);
+        out.write_bytes(&self.data);
     }
 
     /// Parses a C-frame from raw bytes into an owned packet: the data field
@@ -250,32 +249,11 @@ impl SignalingPacket {
         self.to_frame()
     }
 
-    /// When this packet's data is a slice four bytes into a buffer whose
-    /// preceding bytes are exactly the C-frame header the current field
-    /// values encode to, returns that whole buffer: re-framing is then a
-    /// widening of the data view, with no encoding.  This holds for every
-    /// packet produced by [`SignalingPacket::new`] and for mutator output,
-    /// unless a field was modified afterwards (the header comparison catches
-    /// that and the caller falls back to encoding).
-    fn cached_wire(&self) -> Option<FrameBuf> {
-        let whole = self.data.widen_front(4)?;
-        let header = &whole[..4];
-        (header[0] == self.code
-            && header[1] == self.identifier.value()
-            && header[2..4] == self.declared_data_len.to_le_bytes())
-        .then_some(whole)
-    }
-
-    /// Borrowing variant of [`SignalingPacket::into_frame`]: builds the frame
-    /// without consuming the packet, and without encoding it again when the
-    /// packet still carries its wire form (see [`SignalingPacket::new`]).
-    /// This is the transmit hot path; it never allocates for a frame that
-    /// fits inline.
+    /// Borrowing variant of [`SignalingPacket::into_frame`]: writes the
+    /// C-frame once, in place, into the frame's payload (without allocating
+    /// when it fits inline).
     pub fn to_frame(&self) -> L2capFrame {
-        let wire = self
-            .cached_wire()
-            .unwrap_or_else(|| FrameBuf::build(|out| self.encode_into(out)));
-        L2capFrame::new(Cid::SIGNALING, wire)
+        L2capFrame::new(Cid::SIGNALING, FrameBuf::build(|out| self.encode_into(out)))
     }
 
     /// Total number of bytes the C-frame occupies within the L2CAP payload.
@@ -369,12 +347,11 @@ pub fn signaling_frame(identifier: Identifier, command: &Command) -> L2capFrame 
 }
 
 /// Encodes the whole C-frame — code, identifier, data length, data fields —
-/// in one pass through the frame builder's scratch buffer.
+/// in one pass, in place, into the buffer it is sent from.
 fn encode_c_frame(identifier: Identifier, command: &Command) -> FrameBuf {
     FrameBuf::build(|buf| {
-        buf.push(command.code_byte());
-        buf.push(identifier.value());
-        buf.extend_from_slice(&[0, 0]); // DATA LEN, patched once the length is known.
+        // DATA LEN is patched once the data fields are written.
+        buf.extend_from_slice(&[command.code_byte(), identifier.value(), 0, 0]);
         command.encode_data_into(buf);
         let data_len = (buf.len() - 4) as u16;
         buf[2..4].copy_from_slice(&data_len.to_le_bytes());
@@ -572,10 +549,11 @@ mod tests {
         assert_eq!(pkt.data, cmd.encode_data());
         assert_eq!(pkt.to_frame(), signaling_frame(Identifier(9), &cmd));
         assert_eq!(pkt.to_frame().payload, pkt.to_bytes());
-        // A packet edited after construction is encoded afresh.
+        // A packet edited after construction frames its new fields.
         let mut edited = pkt.clone();
         edited.identifier = Identifier(10);
         assert_eq!(edited.to_frame().payload, edited.to_bytes());
+        assert_eq!(edited.to_frame().payload[1], 10);
     }
 
     #[test]

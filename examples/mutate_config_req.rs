@@ -23,7 +23,8 @@ fn main() {
     };
     println!("\nGenerated Config Req mutations:");
     for i in 1..=5u8 {
-        let pkt = mutator.mutate(CommandCode::ConfigureRequest, &ctx, Identifier(i));
-        println!("  {}", hex_dump(&pkt.to_bytes()));
+        // The mutator returns the L2CAP frame; its payload is the C-frame.
+        let frame = mutator.mutate(CommandCode::ConfigureRequest, &ctx, Identifier(i));
+        println!("  {}", hex_dump(&frame.payload));
     }
 }

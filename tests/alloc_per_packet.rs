@@ -1,16 +1,18 @@
 //! Allocation budget of the exchange path.
 //!
-//! Steady-state packet injection — mutate in the frame builder's scratch
-//! buffer, frame the packet, push it across the virtual air — allocates
-//! nothing for a signalling frame: a frame that fits inline is copied by
-//! value into the packet, the frame and every tap record.  A tap allocates
-//! only to grow its record vector.  The `SilentDevice` cases measure that
-//! injection path alone.  The replying case adds a real target: its
-//! endpoint, its replies appended to the link's reused buffer and
-//! `queue::send`'s classification of them, and a whole exchange allocates
-//! nothing either.  The tests count the allocations of their own thread:
-//! libtest runs them in parallel, and the process-wide count would leak one
-//! test's (or the harness's) allocations into the other's window.
+//! Steady-state packet injection — the mutator writes each test packet once,
+//! in place, into the inline bytes of the signalling frame it is sent in,
+//! and the frame is pushed across the virtual air — allocates nothing: a
+//! frame that fits inline is copied by value into every tap record.  A tap
+//! allocates only to grow its record vector.  The `SilentDevice` cases
+//! measure that injection path alone.  The replying case adds a real
+//! target: its endpoint, its replies appended to the link's reused buffer
+//! and `queue::send`'s classification of them, and a whole exchange
+//! allocates nothing either.  Reading a frame of up to the inline capacity
+//! back from JSON allocates nothing as well.  The tests count the
+//! allocations of their own thread: libtest runs them in parallel, and the
+//! process-wide count would leak one test's (or the harness's) allocations
+//! into the other's window.
 
 use alloc_counter::{thread_allocations as allocations, CountingAllocator};
 use btcore::{BdAddr, Cid, DeviceMeta, FrameBuf, FuzzRng, Identifier, LinkSlot, Psm, SimClock};
@@ -20,7 +22,7 @@ use hci::link::{new_tap, LinkConfig};
 use hci::medium::{EventMedium, LinkHandle};
 use l2cap::code::CommandCode;
 use l2cap::command::{Command, EchoRequest};
-use l2cap::packet::{L2capFrame, SignalingPacket};
+use l2cap::packet::{signaling_frame, L2capFrame};
 use l2fuzz::guide::ChannelContext;
 use l2fuzz::mutator::CoreFieldMutator;
 use l2fuzz::queue::send;
@@ -62,7 +64,7 @@ fn inject(mutator: &mut CoreFieldMutator, link: &mut LinkHandle, ctx: &ChannelCo
             ctx,
             Identifier((i % 250 + 1) as u8),
         );
-        let responses = link.send_frame(&packet.to_frame());
+        let responses = link.send_frame(&packet);
         assert!(responses.is_empty());
     }
 }
@@ -85,7 +87,7 @@ fn steady_state_injection_allocates_at_most_two_per_packet() {
     // Untapped link: nothing is allocated per packet.
     let mut link = silent_link();
     let mut mutator = CoreFieldMutator::new(FuzzRng::seed_from(42));
-    // Warm-up: grow the scratch buffer and any lazily-allocated state.
+    // Warm-up: grow any lazily-allocated state.
     inject(&mut mutator, &mut link, &ctx, 64);
     let before = allocations();
     inject(&mut mutator, &mut link, &ctx, PACKETS);
@@ -126,8 +128,7 @@ fn tap_records_share_the_injected_frames_buffers() {
     // frame is inline, so the record copies it by value.
     tap.lock().reserve(1);
     let before = allocations();
-    let packet = mutator.mutate(CommandCode::ConfigureRequest, &ctx, Identifier(1));
-    let frame = packet.to_frame();
+    let frame = mutator.mutate(CommandCode::ConfigureRequest, &ctx, Identifier(1));
     link.send_frame(&frame);
     let captured = allocations() - before;
     assert_eq!(
@@ -138,7 +139,6 @@ fn tap_records_share_the_injected_frames_buffers() {
     let records = tap.lock();
     let record = records.last().unwrap();
     assert_eq!(record.frame, frame);
-    assert_eq!(record.frame.payload, packet.to_bytes());
     drop(records);
 
     // Above the inline capacity the record shares the frame's allocation
@@ -160,7 +160,7 @@ fn tap_records_share_the_injected_frames_buffers() {
 fn round(
     mutator: &mut CoreFieldMutator,
     link: &mut LinkHandle,
-    ping: &SignalingPacket,
+    ping: &L2capFrame,
     i: u32,
 ) -> (u64, bool) {
     const REQUESTS: [CommandCode; 3] = [
@@ -187,9 +187,9 @@ fn round(
 #[test]
 fn replying_exchanges_allocate_nothing_inside_send() {
     const ROUNDS: u32 = 1_000;
-    let ping = SignalingPacket::new(
+    let ping = signaling_frame(
         Identifier(0x70),
-        Command::EchoRequest(EchoRequest {
+        &Command::EchoRequest(EchoRequest {
             data: vec![0x4C, 0x32],
         }),
     );
@@ -207,7 +207,7 @@ fn replying_exchanges_allocate_nothing_inside_send() {
         let tap = new_tap();
         link.attach_tap(tap.clone());
         let mut mutator = CoreFieldMutator::new(FuzzRng::seed_from(42));
-        // Warm-up: grow the reply buffer and the scratch buffers.
+        // Warm-up: grow the reply buffer.
         for i in 0..64 {
             round(&mut mutator, &mut link, &ping, i);
         }
@@ -228,5 +228,26 @@ fn replying_exchanges_allocate_nothing_inside_send() {
         );
         assert_eq!(answered > 0, answers_requests, "{target}");
         assert!(link.device_alive(), "{target}: the target went down");
+    }
+}
+
+/// A frame payload read back from JSON is decoded straight into the inline
+/// bytes of the buffer it lands in: up to the inline capacity that takes no
+/// allocation, and one byte more takes the one shared allocation.
+#[test]
+fn reading_an_inline_payload_from_json_allocates_nothing() {
+    for len in [
+        0,
+        1,
+        FrameBuf::INLINE_CAPACITY - 1,
+        FrameBuf::INLINE_CAPACITY,
+    ] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 29 + 5) as u8).collect();
+        let json = serde_json::to_string_streamed(&FrameBuf::from_vec(bytes.clone()));
+        let before = allocations();
+        let read: FrameBuf = serde_json::from_str_streamed(&json).unwrap();
+        let made = allocations() - before;
+        assert_eq!(made, 0, "reading {len} bytes allocated {made} times");
+        assert_eq!(read, bytes);
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests over the packet codecs and mutation invariants.
 
-use btcore::{ByteReader, ByteWriter, Cid, FuzzRng, Identifier, Psm};
+use btcore::{ByteReader, ByteSink, Cid, FuzzRng, Identifier, Psm};
 use l2cap::code::CommandCode;
-use l2cap::packet::{L2capFrame, SignalingPacket, SignalingView};
+use l2cap::packet::{parse_signaling, L2capFrame, SignalingPacket, SignalingView};
 use l2fuzz::guide::ChannelContext;
 use l2fuzz::mutator::CoreFieldMutator;
 use proptest::prelude::*;
@@ -120,11 +120,10 @@ proptest! {
 
     #[test]
     fn byte_writer_reader_roundtrip(values in proptest::collection::vec(any::<u16>(), 0..64)) {
-        let mut w = ByteWriter::new();
+        let mut bytes = Vec::new();
         for v in &values {
-            w.write_u16(*v);
+            bytes.write_u16(*v);
         }
-        let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         for v in &values {
             prop_assert_eq!(r.read_u16().unwrap(), *v);
@@ -137,11 +136,13 @@ proptest! {
         let code = CommandCode::ALL[code_idx];
         let mut mutator = CoreFieldMutator::with_options(FuzzRng::seed_from(seed), true, true, garbage);
         let ctx = ChannelContext { scid: Cid(0x0040), dcid: Cid(0x0041), psm: Psm::SDP };
-        let pkt = mutator.mutate(code, &ctx, Identifier(1));
+        let frame = mutator.mutate(code, &ctx, Identifier(1));
+        prop_assert!(frame.cid.is_signaling() && frame.is_length_consistent());
+        let pkt = parse_signaling(&frame).unwrap();
         // The code byte is never mutated.
         prop_assert_eq!(pkt.code, code.value());
         // Any PSM carried is in the abnormal space of Table IV.
-        let core = l2cap::fields::extract_core_values(code, &pkt.data);
+        let core = l2cap::fields::extract_core_values(code, pkt.data);
         if let Some(psm) = core.psm {
             prop_assert!(l2cap::ranges::is_abnormal_psm(psm));
         }
