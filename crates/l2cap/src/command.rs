@@ -803,10 +803,11 @@ impl Command {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_commands() -> Vec<Command> {
+    /// One typed sample of each of the 26 commands, in code order.
+    pub(crate) fn sample_commands() -> Vec<Command> {
         vec![
             Command::CommandReject(CommandReject {
                 reason: RejectReason::InvalidCidInRequest,
@@ -925,6 +926,128 @@ mod tests {
             }),
             Command::CreditBasedReconfigureResponse(CreditBasedReconfigureResponse { result: 0 }),
         ]
+    }
+
+    /// FNV-1a, folding `bytes` into `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The codec's inputs: every code byte with seeded random data of 0..=64
+    /// bytes, four draws per length; then for each sample its encoding,
+    /// every prefix of it, the encoding with 1-8 seeded garbage bytes
+    /// appended, and the encoding with each byte flipped in turn (its low
+    /// bit, then all its bits), which walks result codes into other defined
+    /// and undefined values.
+    fn codec_corpus() -> Vec<(u8, Vec<u8>)> {
+        let mut rng = btcore::FuzzRng::seed_from(0xC0DEC);
+        let mut corpus = Vec::new();
+        for code in 0..=u8::MAX {
+            for len in 0..=64 {
+                for _ in 0..4 {
+                    corpus.push((code, rng.bytes(len)));
+                }
+            }
+        }
+        for cmd in sample_commands() {
+            let (code, data) = (cmd.code_byte(), cmd.encode_data());
+            for end in 0..=data.len() {
+                corpus.push((code, data[..end].to_vec()));
+            }
+            for extra in 1..=8 {
+                corpus.push((code, [data.clone(), rng.bytes(extra)].concat()));
+            }
+            for at in 0..data.len() {
+                for mask in [0x01, 0xFF] {
+                    let mut flipped = data.clone();
+                    flipped[at] ^= mask;
+                    corpus.push((code, flipped));
+                }
+            }
+        }
+        corpus
+    }
+
+    #[test]
+    fn the_codec_agrees_with_itself_and_its_digest_is_pinned() {
+        let mut hash = 0xCBF2_9CE4_8422_2325;
+        let mut typed = 0;
+        for (code, data) in codec_corpus() {
+            let decoded = Command::decode_opt(code, &data);
+            assert_eq!(
+                Command::structurally_valid(code, &data),
+                decoded.is_some(),
+                "{code:#04x} {data:02x?}"
+            );
+            let reencoded = decoded.as_ref().map_or_else(Vec::new, |cmd| {
+                let bytes = cmd.encode_data();
+                assert_eq!(
+                    &Command::decode(code, &bytes),
+                    cmd,
+                    "{code:#04x} {data:02x?}"
+                );
+                typed += 1;
+                bytes
+            });
+            hash = fnv1a(
+                hash,
+                format!("{:?}", Command::decode(code, &data)).as_bytes(),
+            );
+            hash = fnv1a(hash, &[u8::from(decoded.is_some())]);
+            hash = fnv1a(hash, &reencoded);
+        }
+        assert_eq!((typed, hash), (5366, 0xE2DD_BC23_2C98_1258));
+    }
+
+    /// Every command's data-field layout as `NAME@offset:width`, `*` marking
+    /// a tail that runs to the end of the data.
+    const LAYOUT_GOLDEN: &str = "\
+Command Reject: REASON@0:2 DATA@2:*
+Connect Req: PSM@0:2 SCID@2:2
+Connect Rsp: DCID@0:2 SCID@2:2 RESULT@4:2 STATUS@6:2
+Config Req: DCID@0:2 FLAGS@2:2 OPT@4:*
+Config Rsp: SCID@0:2 FLAGS@2:2 RESULT@4:2 OPT@6:*
+Disconnect Req: DCID@0:2 SCID@2:2
+Disconnect Rsp: DCID@0:2 SCID@2:2
+Echo Req: DATA@0:*
+Echo Rsp: DATA@0:*
+Info Req: TYPE@0:2
+Info Rsp: TYPE@0:2 RESULT@2:2 DATA@4:*
+Create Channel Req: PSM@0:2 SCID@2:2 CONT ID@4:1
+Create Channel Rsp: DCID@0:2 SCID@2:2 RESULT@4:2 STATUS@6:2
+Move Channel Req: ICID@0:2 CONT ID@2:1
+Move Channel Rsp: ICID@0:2 RESULT@2:2
+Move Channel Confirm Req: ICID@0:2 RESULT@2:2
+Move Channel Confirm Rsp: ICID@0:2
+Conn Param Update Req: INTERVAL@0:2 INTERVAL@2:2 LATENCY@4:2 TIMEOUT@6:2
+Conn Param Update Rsp: RESULT@0:2
+LE Credit Based Connect Req: SPSM@0:2 SCID@2:2 MTU@4:2 MPS@6:2 CREDIT@8:2
+LE Credit Based Connect Rsp: DCID@0:2 MTU@2:2 MPS@4:2 CREDIT@6:2 RESULT@8:2
+Flow Control Credit Ind: SCID@0:2 CREDIT@2:2
+Credit Based Connect Req: SPSM@0:2 MTU@2:2 MPS@4:2 CREDIT@6:2 SCID@8:*
+Credit Based Connect Rsp: MTU@0:2 MPS@2:2 CREDIT@4:2 RESULT@6:2 DCID@8:*
+Credit Based Reconfigure Req: MTU@0:2 MPS@2:2 DCID@4:*
+Credit Based Reconfigure Rsp: RESULT@0:2
+";
+
+    #[test]
+    fn the_field_layouts_are_pinned() {
+        let text: String = CommandCode::ALL
+            .iter()
+            .map(|&code| {
+                let fields: Vec<String> = crate::fields::data_field_layout(code)
+                    .iter()
+                    .map(|s| match s.len {
+                        Some(len) => format!(" {}@{}:{len}", s.name, s.offset),
+                        None => format!(" {}@{}:*", s.name, s.offset),
+                    })
+                    .collect();
+                format!("{}:{}\n", code.mnemonic(), fields.concat())
+            })
+            .collect();
+        assert_eq!(text, LAYOUT_GOLDEN);
     }
 
     #[test]

@@ -781,23 +781,33 @@ mod tests {
 
     #[test]
     fn layout_lengths_match_command_encodings() {
-        use crate::command::{Command, ConnectionRequest, ConnectionResponse};
-        use btcore::{Cid, Psm};
-        // Connection request is 4 bytes of data; its layout says so too.
-        let data = Command::ConnectionRequest(ConnectionRequest {
-            psm: Psm::SDP,
-            scid: Cid(0x40),
-        })
-        .encode_data();
-        assert_eq!(data.len(), min_data_len(CommandCode::ConnectionRequest));
-        let data = Command::ConnectionResponse(ConnectionResponse {
-            dcid: Cid(0x41),
-            scid: Cid(0x40),
-            result: crate::consts::ConnectionResult::Success,
-            status: 0,
-        })
-        .encode_data();
-        assert_eq!(data.len(), min_data_len(CommandCode::ConnectionResponse));
+        use crate::command::{tests::sample_commands, Command};
+        // Each sample's encoding carries its layout's fixed fields and then
+        // its tail, and the fixed fields are the shortest data it decodes
+        // from.
+        for cmd in sample_commands() {
+            let (code, data) = (cmd.code().unwrap(), cmd.encode_data());
+            let min = min_data_len(code);
+            match data_field_layout(code).last() {
+                Some(FieldSpec {
+                    len: None, offset, ..
+                }) => {
+                    assert_eq!(*offset, min, "{code}");
+                    assert!(data.len() >= min, "{code}");
+                }
+                _ => assert_eq!(data.len(), min, "{code}"),
+            }
+            assert!(
+                Command::decode_opt(code.value(), &data[..min]).is_some(),
+                "{code}"
+            );
+            if min > 0 {
+                assert!(
+                    Command::decode_opt(code.value(), &data[..min - 1]).is_none(),
+                    "{code}"
+                );
+            }
+        }
     }
 
     #[test]
