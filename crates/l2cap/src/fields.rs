@@ -10,12 +10,16 @@
 //! [`FieldClass`] for every [`FieldName`], plus byte-accurate
 //! [`FieldSpec`] layouts of the data fields of every signalling command, so a
 //! mutator can locate and patch `MC` bytes inside an encoded payload without
-//! disturbing anything else.
+//! disturbing anything else.  The layouts are not written here: the command
+//! table in [`command`](crate::command), which also generates each command's
+//! struct, encoder, decoder and validity check, lays them out from the
+//! widths of each command's fields, so a layout cannot disagree with the
+//! codec.
 //!
 //! The per-packet readers — [`extract_core_values`], [`extract_le_values`],
 //! [`garbage_len`] and [`min_data_len`], called by the mutator, the
 //! simulated endpoints and every sniffer pass — do not scan a layout.  A
-//! `const` table, derived at compile time from [`data_field_layout`], holds
+//! `const` table, derived at compile time from those generated layouts, holds
 //! one entry per command code: the offsets and widths of its PSM, CIDP,
 //! SPSM, MTU, MPS and credit fields, its minimum data length and whether
 //! its layout ends in a variable tail.  Each reader is one indexed load and
@@ -160,22 +164,6 @@ pub struct FieldSpec {
 }
 
 impl FieldSpec {
-    const fn fixed(name: FieldName, offset: usize, len: usize) -> FieldSpec {
-        FieldSpec {
-            name,
-            offset,
-            len: Some(len),
-        }
-    }
-
-    const fn tail(name: FieldName, offset: usize) -> FieldSpec {
-        FieldSpec {
-            name,
-            offset,
-            len: None,
-        }
-    }
-
     /// Returns the classification of this field.
     pub const fn class(&self) -> FieldClass {
         self.name.class()
@@ -185,203 +173,14 @@ impl FieldSpec {
 /// Returns the data-field layout of `code` (offsets are relative to the start
 /// of the command's data fields, i.e. after CODE / ID / DATA LEN).
 ///
-/// The layouts are constant tables: the slice is `'static` and this function
-/// never allocates, which matters because the mutator walks a layout for
-/// every packet it writes.  The per-packet field readers go through the
-/// field table derived from these layouts instead.
+/// The layouts are constant tables, generated from the command table in
+/// [`command`](crate::command) with each offset summed from the widths of
+/// the fields before it: the slice is `'static` and this function never
+/// allocates, which matters because the mutator walks a layout for every
+/// packet it writes.  The per-packet field readers go through the field
+/// table derived from these layouts instead.
 pub const fn data_field_layout(code: CommandCode) -> &'static [FieldSpec] {
-    use FieldName as N;
-    match code {
-        CommandCode::CommandReject => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Reason, 0, 2),
-                    FieldSpec::tail(N::Data, 2),
-                ]
-            }
-        }
-        CommandCode::ConnectionRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Psm, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                ]
-            }
-        }
-        CommandCode::ConnectionResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Dcid, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                    FieldSpec::fixed(N::Result, 4, 2),
-                    FieldSpec::fixed(N::Status, 6, 2),
-                ]
-            }
-        }
-        CommandCode::ConfigureRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Dcid, 0, 2),
-                    FieldSpec::fixed(N::Flags, 2, 2),
-                    FieldSpec::tail(N::Options, 4),
-                ]
-            }
-        }
-        CommandCode::ConfigureResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Scid, 0, 2),
-                    FieldSpec::fixed(N::Flags, 2, 2),
-                    FieldSpec::fixed(N::Result, 4, 2),
-                    FieldSpec::tail(N::Options, 6),
-                ]
-            }
-        }
-        CommandCode::DisconnectionRequest | CommandCode::DisconnectionResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Dcid, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                ]
-            }
-        }
-        CommandCode::EchoRequest | CommandCode::EchoResponse => {
-            const { &[FieldSpec::tail(N::Data, 0)] }
-        }
-        CommandCode::InformationRequest => const { &[FieldSpec::fixed(N::InfoType, 0, 2)] },
-        CommandCode::InformationResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::InfoType, 0, 2),
-                    FieldSpec::fixed(N::Result, 2, 2),
-                    FieldSpec::tail(N::Data, 4),
-                ]
-            }
-        }
-        CommandCode::CreateChannelRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Psm, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                    FieldSpec::fixed(N::ContId, 4, 1),
-                ]
-            }
-        }
-        CommandCode::CreateChannelResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Dcid, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                    FieldSpec::fixed(N::Result, 4, 2),
-                    FieldSpec::fixed(N::Status, 6, 2),
-                ]
-            }
-        }
-        CommandCode::MoveChannelRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Icid, 0, 2),
-                    FieldSpec::fixed(N::ContId, 2, 1),
-                ]
-            }
-        }
-        CommandCode::MoveChannelResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Icid, 0, 2),
-                    FieldSpec::fixed(N::Result, 2, 2),
-                ]
-            }
-        }
-        CommandCode::MoveChannelConfirmationRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Icid, 0, 2),
-                    FieldSpec::fixed(N::Result, 2, 2),
-                ]
-            }
-        }
-        CommandCode::MoveChannelConfirmationResponse => {
-            const { &[FieldSpec::fixed(N::Icid, 0, 2)] }
-        }
-        CommandCode::ConnectionParameterUpdateRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Interval, 0, 2),
-                    FieldSpec::fixed(N::Interval, 2, 2),
-                    FieldSpec::fixed(N::Latency, 4, 2),
-                    FieldSpec::fixed(N::Timeout, 6, 2),
-                ]
-            }
-        }
-        CommandCode::ConnectionParameterUpdateResponse => {
-            const { &[FieldSpec::fixed(N::Result, 0, 2)] }
-        }
-        CommandCode::LeCreditBasedConnectionRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Spsm, 0, 2),
-                    FieldSpec::fixed(N::Scid, 2, 2),
-                    FieldSpec::fixed(N::Mtu, 4, 2),
-                    FieldSpec::fixed(N::Mps, 6, 2),
-                    FieldSpec::fixed(N::Credit, 8, 2),
-                ]
-            }
-        }
-        CommandCode::LeCreditBasedConnectionResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Dcid, 0, 2),
-                    FieldSpec::fixed(N::Mtu, 2, 2),
-                    FieldSpec::fixed(N::Mps, 4, 2),
-                    FieldSpec::fixed(N::Credit, 6, 2),
-                    FieldSpec::fixed(N::Result, 8, 2),
-                ]
-            }
-        }
-        CommandCode::FlowControlCreditInd => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Scid, 0, 2),
-                    FieldSpec::fixed(N::Credit, 2, 2),
-                ]
-            }
-        }
-        CommandCode::CreditBasedConnectionRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Spsm, 0, 2),
-                    FieldSpec::fixed(N::Mtu, 2, 2),
-                    FieldSpec::fixed(N::Mps, 4, 2),
-                    FieldSpec::fixed(N::Credit, 6, 2),
-                    FieldSpec::tail(N::Scid, 8),
-                ]
-            }
-        }
-        CommandCode::CreditBasedConnectionResponse => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Mtu, 0, 2),
-                    FieldSpec::fixed(N::Mps, 2, 2),
-                    FieldSpec::fixed(N::Credit, 4, 2),
-                    FieldSpec::fixed(N::Result, 6, 2),
-                    FieldSpec::tail(N::Dcid, 8),
-                ]
-            }
-        }
-        CommandCode::CreditBasedReconfigureRequest => {
-            const {
-                &[
-                    FieldSpec::fixed(N::Mtu, 0, 2),
-                    FieldSpec::fixed(N::Mps, 2, 2),
-                    FieldSpec::tail(N::Dcid, 4),
-                ]
-            }
-        }
-        CommandCode::CreditBasedReconfigureResponse => {
-            const { &[FieldSpec::fixed(N::Result, 0, 2)] }
-        }
-    }
+    crate::command::layout(code)
 }
 
 /// Returns the mutable-core fields (`MC`) of a command's data layout — the
