@@ -360,7 +360,7 @@ mod tests {
             declared_data_len: 8,
             data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
         }
-        .into_frame()
+        .to_frame()
     }
 
     fn malformed_config(dev: &mut SimulatedDevice) -> Vec<L2capFrame> {

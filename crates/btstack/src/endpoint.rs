@@ -948,7 +948,7 @@ mod tests {
             declared_data_len: 2,
             data: vec![1, 2, 3, 4, 5].into(),
         };
-        let out = ep.replies(&packet.into_frame());
+        let out = ep.replies(&packet.to_frame());
         let echo = l2cap::command::EchoResponse {
             data: vec![1, 2, 3, 4, 5],
         };
@@ -963,7 +963,7 @@ mod tests {
         for len in [0, 49, 50, 600] {
             let data: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
             let request = SignalingPacket::from_raw(Identifier(5), 0x08, data.clone());
-            let out = ep.replies(&request.into_frame());
+            let out = ep.replies(&request.to_frame());
             let echo = l2cap::command::EchoResponse { data };
             assert_eq!(
                 out,
@@ -1066,7 +1066,7 @@ mod tests {
     fn oversized_signaling_packet_is_rejected_with_mtu_exceeded() {
         let mut ep = endpoint(VendorStack::BlueDroid, ServiceTable::typical(6));
         let packet = SignalingPacket::from_raw(Identifier(7), 0x08, vec![0xAA; 700]);
-        let frame = packet.into_frame();
+        let frame = packet.to_frame();
         let out = ep.replies(&frame);
         match &first_command(&out)[0] {
             Command::CommandReject(rej) => {
@@ -1088,7 +1088,7 @@ mod tests {
             declared_data_len: 4,
             data: data.into(),
         };
-        let out = ep.replies(&packet.into_frame());
+        let out = ep.replies(&packet.to_frame());
         assert!(out.is_empty());
     }
 
@@ -1114,7 +1114,7 @@ mod tests {
             .into(),
         };
         let mut out = Vec::new();
-        let fired = ep.handle_frame(&packet.into_frame(), &mut out);
+        let fired = ep.handle_frame(&packet.to_frame(), &mut out);
         assert_eq!(
             fired.as_ref().map(|v| v.id.as_str()),
             Some(vuln.id.as_str())
@@ -1147,7 +1147,7 @@ mod tests {
     fn unknown_command_code_gets_command_not_understood() {
         let mut ep = endpoint(VendorStack::BlueZ, ServiceTable::typical(13));
         let packet = SignalingPacket::from_raw(Identifier(1), 0x7E, vec![1, 2, 3]);
-        let out = ep.replies(&packet.into_frame());
+        let out = ep.replies(&packet.to_frame());
         match &first_command(&out)[0] {
             Command::CommandReject(rej) => {
                 assert_eq!(rej.reason, RejectReason::CommandNotUnderstood)

@@ -272,7 +272,7 @@ mod tests {
                 declared_data_len: 8,
                 data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
             };
-            link.send_frame(&packet.into_frame());
+            link.send_frame(&packet.to_frame());
         }
         assert!(
             !shared.lock().bluetooth_alive(),

@@ -617,7 +617,7 @@ mod tests {
     fn fig7_example_matches_the_paper_bytes() {
         let (original, mutated) = CoreFieldMutator::fig7_example();
         assert_eq!(
-            hex_dump(&original.into_frame().to_bytes()),
+            hex_dump(&original.to_frame().to_bytes()),
             "0C 00 01 00 04 06 08 00 40 00 00 20 01 02 00 04"
         );
         // The mutation leaves the dependent PAYLOAD LEN field untouched as

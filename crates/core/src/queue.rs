@@ -88,7 +88,7 @@ mod tests {
         // Undefined command code gets "command not understood".
         let outcome = send(
             &mut link,
-            &SignalingPacket::from_raw(Identifier(1), 0x7F, vec![]).into_frame(),
+            &SignalingPacket::from_raw(Identifier(1), 0x7F, vec![]).to_frame(),
         );
         assert!(outcome.rejected);
     }

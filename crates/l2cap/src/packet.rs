@@ -244,14 +244,9 @@ impl SignalingPacket {
     }
 
     /// Wraps this signalling packet in an L2CAP frame on the signalling
-    /// channel, with consistent length fields.
-    pub fn into_frame(self) -> L2capFrame {
-        self.to_frame()
-    }
-
-    /// Borrowing variant of [`SignalingPacket::into_frame`]: writes the
-    /// C-frame once, in place, into the frame's payload (without allocating
-    /// when it fits inline).
+    /// channel, with consistent length fields: writes the C-frame once, in
+    /// place, into the frame's payload (without allocating when it fits
+    /// inline).
     pub fn to_frame(&self) -> L2capFrame {
         L2capFrame::new(Cid::SIGNALING, FrameBuf::build(|out| self.encode_into(out)))
     }

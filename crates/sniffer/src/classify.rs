@@ -195,7 +195,7 @@ mod tests {
             declared_data_len: 8,
             data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
         };
-        assert!(is_malformed(&packet.into_frame()));
+        assert!(is_malformed(&packet.to_frame()));
     }
 
     #[test]
@@ -212,10 +212,10 @@ mod tests {
 
     #[test]
     fn undefined_code_and_broken_structure_are_malformed() {
-        let frame = SignalingPacket::from_raw(Identifier(1), 0x7F, vec![1, 2]).into_frame();
+        let frame = SignalingPacket::from_raw(Identifier(1), 0x7F, vec![1, 2]).to_frame();
         assert!(is_malformed(&frame));
         // Connection request with only one data byte.
-        let frame = SignalingPacket::from_raw(Identifier(1), 0x02, vec![1]).into_frame();
+        let frame = SignalingPacket::from_raw(Identifier(1), 0x02, vec![1]).to_frame();
         assert!(is_malformed(&frame));
     }
 

@@ -192,7 +192,7 @@ mod tests {
         PacketRecord {
             direction: Direction::Tx,
             timestamp_micros: ts,
-            frame: packet.into_frame(),
+            frame: packet.to_frame(),
         }
     }
 

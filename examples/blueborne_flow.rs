@@ -47,7 +47,7 @@ fn main() {
         declared_data_len: declared,
         data: data.into(),
     };
-    let responses = env.link.send_frame(&malformed.into_frame());
+    let responses = env.link.send_frame(&malformed.to_frame());
     println!(
         "malformed Configuration Response sent; {} response frame(s)",
         responses.len()

@@ -47,7 +47,7 @@ fn main() {
             ]
             .into(),
         };
-        env.link.send_frame(&packet.into_frame());
+        env.link.send_frame(&packet.to_frame());
         if attempts > 10_000 {
             break;
         }
