@@ -46,7 +46,7 @@ const PINNED_ANALYSES: [((usize, usize, usize, usize), u32); 3] = [
 ];
 
 #[test]
-fn budget_campaigns_allocate_at_most_three_times_per_packet_and_replay_their_traces() {
+fn budget_campaigns_make_at_most_half_an_allocation_per_packet_and_replay() {
     for ((target, pinned), (counts, signature)) in PINNED_TRACES.into_iter().zip(PINNED_ANALYSES) {
         let before = allocations();
         let outcome = Campaign::builder()
