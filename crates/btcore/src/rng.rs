@@ -209,11 +209,15 @@ mod tests {
     fn the_first_draws_of_each_method_are_pinned() {
         // next_u8, next_u16, next_u32, range_u16(0x40, 0xFFFF),
         // range_usize(0, 1000), index(26), chance(0.5), fill_bytes of 8
-        // bytes, and next_u32 of fork(1).
+        // bytes, next_u32 of fork(1), range_usize(0, usize::MAX) (the full
+        // span, which skips rejection sampling) and fill_bytes of 13 bytes
+        // (a partial last word).
         let draws = |seed: u64| {
             let fresh = || FuzzRng::seed_from(seed);
             let mut bytes = [0; 8];
             fresh().fill_bytes(&mut bytes);
+            let mut partial = [0; 13];
+            fresh().fill_bytes(&mut partial);
             (
                 fresh().next_u8(),
                 fresh().next_u16(),
@@ -224,13 +228,15 @@ mod tests {
                 fresh().chance(0.5),
                 bytes,
                 fresh().fork(1).next_u32(),
+                fresh().range_usize(0, usize::MAX),
+                partial,
             )
         };
         let pinned = [
-            (0, "(54, 24374, 2582404918, 52404, 200, 18, false, [180, 242, 117, 203, 54, 95, 236, 153], 1036641732)"),
-            (1, "(109, 44909, 3019026285, 45317, 87, 9, false, [197, 16, 199, 15, 109, 175, 242, 179], 71371192)"),
-            (42, "(46, 2862, 360188718, 24022, 275, 2, true, [22, 199, 46, 12, 46, 11, 120, 21], 1613585241)"),
-            (u64::MAX, "(213, 8405, 2404720853, 39880, 40, 14, false, [8, 173, 126, 42, 213, 32, 85, 143], 164154702)"),
+            (0, "(54, 24374, 2582404918, 52404, 200, 18, false, [180, 242, 117, 203, 54, 95, 236, 153], 1036641732, 11091344671253066420, [180, 242, 117, 203, 54, 95, 236, 153, 42, 69, 86, 73, 120])"),
+            (1, "(109, 44909, 3019026285, 45317, 87, 9, false, [197, 16, 199, 15, 109, 175, 242, 179], 71371192, 12966619160104079557, [197, 16, 199, 15, 109, 175, 242, 179, 234, 76, 54, 71, 150])"),
+            (42, "(46, 2862, 360188718, 24022, 275, 2, true, [22, 199, 46, 12, 46, 11, 120, 21], 1613585241, 1546998764402558742, [22, 199, 46, 12, 46, 11, 120, 21, 126, 58, 17, 109, 134])"),
+            (u64::MAX, "(213, 8405, 2404720853, 39880, 40, 14, false, [8, 173, 126, 42, 213, 32, 85, 143], 164154702, 10328197420357168392, [8, 173, 126, 42, 213, 32, 85, 143, 45, 128, 161, 202, 24])"),
         ];
         for (seed, expected) in pinned {
             assert_eq!(format!("{:?}", draws(seed)), expected, "seed {seed}");
