@@ -4,22 +4,31 @@
 //! tails, baseline fuzzer behaviour, simulated processing jitter — draws from
 //! a [`FuzzRng`], so a run is fully determined by its seed.  This is what
 //! makes the experiment binaries in the `bench` crate reproducible.
+//!
+//! The generator is the repo's own: xoshiro256\*\* whose four state words
+//! are the first four SplitMix64 outputs of the seed.  It is not the `rand`
+//! crate's `StdRng` (ChaCha12), and every pinned digest depends on its
+//! stream.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+/// SplitMix64's increment, the golden-ratio constant `2^64 / φ`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: cheap, well-distributed mixing for deriving
 /// independent seeds from one base value.  Used by the campaign harness for
 /// per-target seeds and per-tool RNG streams so no derived stream collides
 /// with the raw seed.
 pub fn splitmix64(input: u64) -> u64 {
-    let mut z = input.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = input.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// A deterministic random number generator seeded from a single `u64`.
+/// A deterministic random number generator seeded from a single `u64`:
+/// xoshiro256\*\*, its state seeded by four SplitMix64 outputs.
+///
+/// Narrow draws take the high bits of one 64-bit output, and a range draw
+/// rejects the outputs that would bias it, so every draw is uniform.
 ///
 /// # Example
 ///
@@ -31,15 +40,22 @@ pub fn splitmix64(input: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FuzzRng {
-    inner: StdRng,
+    state: [u64; 4],
     seed: u64,
 }
 
 impl FuzzRng {
     /// Creates a generator from the given seed.
+    // Out of line: each caller seeds once, and a copy of the four mixes at
+    // every call site would only grow the code around it.
+    #[inline(never)]
     pub fn seed_from(seed: u64) -> Self {
+        // Word k is SplitMix64's (k + 1)-th output from `seed`.  The mixer
+        // is a bijection and its four inputs differ, so at most one word is
+        // zero: xoshiro never starts from its all-zero fixed point.
+        let word = |k: u64| splitmix64(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA)));
         FuzzRng {
-            inner: StdRng::seed_from_u64(seed),
+            state: [word(0), word(1), word(2), word(3)],
             seed,
         }
     }
@@ -53,26 +69,55 @@ impl FuzzRng {
     /// subsystem (mutator, air medium, device) its own stream while keeping
     /// the whole run a function of one top-level seed.
     pub fn fork(&mut self, label: u64) -> FuzzRng {
-        let child_seed = self.inner.gen::<u64>() ^ label.rotate_left(17);
+        let child_seed = self.next_u64() ^ label.rotate_left(17);
         FuzzRng::seed_from(child_seed)
+    }
+
+    /// The next 64 bits of the xoshiro256\*\* stream.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.state;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// Returns a uniformly random `u8`.
     #[inline]
     pub fn next_u8(&mut self) -> u8 {
-        self.inner.gen()
+        self.next_u32() as u8
     }
 
     /// Returns a uniformly random `u16`.
     #[inline]
     pub fn next_u16(&mut self) -> u16 {
-        self.inner.gen()
+        self.next_u32() as u16
     }
 
-    /// Returns a uniformly random `u32`.
+    /// Returns a uniformly random `u32`: the high half of the next output.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        self.inner.gen()
+        (self.next_u64() >> 32) as u32
+    }
+
+    /// A uniform value in `[0, span)`, by rejecting the outputs at or above
+    /// the largest multiple of `span` (at most half of them, so the loop
+    /// rarely repeats).  `span` must not be zero.
+    #[inline]
+    fn below(&mut self, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let v = self.next_u64();
+            if v < zone {
+                return v % span;
+            }
+        }
     }
 
     /// Returns a uniformly random value in `[lo, hi]` (inclusive).
@@ -82,7 +127,7 @@ impl FuzzRng {
     #[inline]
     pub fn range_u16(&mut self, lo: u16, hi: u16) -> u16 {
         assert!(lo <= hi, "range_u16 requires lo <= hi");
-        self.inner.gen_range(lo..=hi)
+        lo + self.below(u64::from(hi - lo) + 1) as u16
     }
 
     /// Returns a uniformly random `usize` in `[lo, hi]` (inclusive).
@@ -92,14 +137,25 @@ impl FuzzRng {
     #[inline]
     pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi, "range_usize requires lo <= hi");
-        self.inner.gen_range(lo..=hi)
+        let draw = match ((hi - lo) as u64).checked_add(1) {
+            Some(span) => self.below(span),
+            // The full span: every output is in range.
+            None => self.next_u64(),
+        };
+        lo + draw as usize
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    ///
+    /// # Panics
+    /// Panics if `p` is NaN.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
+        assert!(!p.is_nan(), "chance requires a probability, not NaN");
+        // The top 53 bits as a uniform float in [0, 1).
+        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        unit < p
     }
 
     /// Picks a uniformly random element of `items`.
@@ -117,15 +173,25 @@ impl FuzzRng {
     ///
     /// # Panics
     /// Panics if `len` is zero.
-    #[inline]
     pub fn index(&mut self, len: usize) -> usize {
-        self.inner.gen_range(0..len)
+        assert!(len > 0, "index requires len > 0");
+        self.below(len as u64) as usize
     }
 
-    /// Fills `buf` with random bytes.
+    /// Fills `buf` with random bytes: each output's little-endian bytes in
+    /// turn, the last one cut short when `buf` ends mid-word.
     #[inline]
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill_bytes(buf);
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            for (byte, drawn) in tail.iter_mut().zip(self.next_u64().to_le_bytes()) {
+                *byte = drawn;
+            }
+        }
     }
 
     /// Returns a vector of `len` random bytes.

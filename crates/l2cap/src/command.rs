@@ -139,7 +139,7 @@ impl Wire for Vec<Cid> {
 
     #[inline(always)]
     fn read(r: &mut ByteReader<'_>) -> Option<Vec<Cid>> {
-        let mut cids = Vec::new();
+        let mut cids = Vec::with_capacity(r.remaining() / 2);
         while r.remaining() >= 2 {
             cids.push(Cid::read(r)?);
         }

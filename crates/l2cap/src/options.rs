@@ -35,7 +35,9 @@ pub enum ConfigOption {
     ),
     /// Extended flow specification (type `0x06`); body kept opaque.
     ExtendedFlowSpec(
-        /// Raw option body.
+        /// Raw option body.  The one-byte length field holds at most 255,
+        /// so [`ConfigOption::encode`] writes only the first 255 bytes of a
+        /// longer body.
         Vec<u8>,
     ),
     /// Extended window size (type `0x07`).
@@ -47,7 +49,9 @@ pub enum ConfigOption {
     Unknown {
         /// Raw option type byte.
         option_type: u8,
-        /// Raw option body.
+        /// Raw option body.  The one-byte length field holds at most 255,
+        /// so [`ConfigOption::encode`] writes only the first 255 bytes of a
+        /// longer body.
         body: Vec<u8>,
     },
 }
@@ -153,15 +157,12 @@ impl ConfigOption {
                 w.write_u8(1);
                 w.write_u8(*f);
             }
-            ConfigOption::ExtendedFlowSpec(body) => {
-                w.write_u8(body.len() as u8);
-                w.write_bytes(body);
-            }
             ConfigOption::ExtendedWindowSize(ws) => {
                 w.write_u8(2);
                 w.write_u16(*ws);
             }
-            ConfigOption::Unknown { body, .. } => {
+            ConfigOption::ExtendedFlowSpec(body) | ConfigOption::Unknown { body, .. } => {
+                let body = body.get(..usize::from(u8::MAX)).unwrap_or(body);
                 w.write_u8(body.len() as u8);
                 w.write_bytes(body);
             }
@@ -381,6 +382,31 @@ mod tests {
         let bytes = ConfigOption::encode_all(&[ConfigOption::Mtu(672)]);
         assert_eq!(ConfigOption::scan_rfc_option(&bytes), None);
         assert_eq!(ConfigOption::scan_rfc_option(&[]), None);
+    }
+
+    #[test]
+    fn opaque_bodies_encode_at_most_255_bytes_under_a_matching_length() {
+        let both_variants = |body: Vec<u8>| {
+            [
+                ConfigOption::ExtendedFlowSpec(body.clone()),
+                ConfigOption::Unknown {
+                    option_type: 0x55,
+                    body,
+                },
+            ]
+        };
+        for len in [0usize, 255, 300] {
+            let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let kept = body[..len.min(255)].to_vec();
+            for (option, expected) in both_variants(body).into_iter().zip(both_variants(kept)) {
+                // A following option still decodes: the length byte matches
+                // the bytes written.
+                let bytes = ConfigOption::encode_all(&[option, ConfigOption::Mtu(672)]);
+                assert_eq!(bytes.len(), 2 + len.min(255) + 4, "{len}-byte body");
+                let back = ConfigOption::decode_all(&mut ByteReader::new(&bytes)).unwrap();
+                assert_eq!(back, [expected, ConfigOption::Mtu(672)], "{len}-byte body");
+            }
+        }
     }
 
     #[test]

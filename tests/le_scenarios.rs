@@ -18,6 +18,7 @@ use l2fuzz::campaign::Campaign;
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::TxBudget;
 use l2fuzz::session::L2FuzzTool;
+use service::digest::trace_digest;
 use sniffer::StateCoverage;
 use std::collections::BTreeSet;
 
@@ -271,31 +272,6 @@ fn le_campaigns_replay_bit_for_bit_from_their_seed() {
 
 // ---------------------------------------------------------------------------
 // Regression: the new paths must not perturb the paper's BR/EDR numbers.
-
-/// FNV-1a digest over every record of a trace: direction, virtual timestamp
-/// and the exact frame bytes.  Pinning this digest pins the packet stream —
-/// the medium redesign (PR 5) must keep single-initiator campaigns
-/// byte-identical to the synchronous `AirMedium` they replaced.
-fn trace_digest(trace: &sniffer::Trace) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for record in trace.records() {
-        eat(match record.direction {
-            hci::link::Direction::Tx => 0,
-            hci::link::Direction::Rx => 1,
-        });
-        for b in record.timestamp_micros.to_le_bytes() {
-            eat(b);
-        }
-        for b in record.frame.to_bytes() {
-            eat(b);
-        }
-    }
-    hash
-}
 
 #[test]
 fn single_initiator_packet_streams_match_the_pr4_medium_bit_for_bit() {
